@@ -5,16 +5,16 @@
 //!
 //! For churn levels 1% / 5% / 10% (fraction of the live edge set mutated
 //! per epoch, Fig-style sweep) plus a 0%-churn content-only baseline:
-//! the same mixed stream goes through the sharded system and the
-//! single-threaded reference. Reported per (level, engine):
+//! the same mixed stream goes through the sharded and the single-threaded
+//! system. Reported per (level, engine):
 //!
 //! * `ops_per_s` — end-to-end events/s *including* the repair epochs, so
 //!   the number prices topology churn into the hot path;
 //! * `mutations` / `topo_epochs` — accounting from
 //!   [`RegistryStats::topo`], proving repairs actually ran;
-//! * `answers_match` (sharded rows) — 1 when every node's final answer
-//!   equals the single-threaded reference, the hard invariant
-//!   `bench_check` gates on.
+//! * `answers_match` — 1 when every node's final answer equals the
+//!   [`NaiveOracle`] replaying the stream over a mirror of the mutated
+//!   graph, the hard invariant `bench_check` gates on.
 //!
 //! One JSON artifact: `BENCH_fig_churn.json`. The committed baseline was
 //! generated at `EAGR_BENCH_SCALE=0.25 --quick`; the gate compares the
@@ -54,7 +54,7 @@ fn main() {
     let n = ((3_000.0 * scale()) as usize).max(300);
     banner(
         "Dynamic-topology churn",
-        "ingest throughput + sharded≡reference correctness under 1/5/10% edge churn",
+        "ingest throughput + oracle-checked answers under 1/5/10% edge churn",
     );
     let g = social_graph(n, 5, 0xC4A2);
     println!(
@@ -99,24 +99,27 @@ fn main() {
                 },
             )
         };
-        let mut bound = g.id_bound();
+        let mut mirror = g.clone();
+        let mut oracle = NaiveOracle::new(Sum, WindowSpec::Tuple(1), Neighborhood::In);
+        let mut ts = 0;
         for batch in &stream {
-            for e in batch {
-                if let Event::AddNode { node } = *e {
-                    bound = bound.max(node.idx() + 1);
-                }
-            }
+            oracle.ingest(&mut mirror, batch, ts);
+            ts += batch.len() as u64;
         }
         let single = build(&g, ExecutionMode::SingleThreaded);
         let sharded = build(&g, ExecutionMode::Sharded { shards: SHARDS });
         let (single_ops, muts, epochs) = run(&single, &stream);
         let (sharded_ops, s_muts, s_epochs) = run(&sharded, &stream);
         assert_eq!(muts, s_muts, "mutation accounting must be mode-independent");
-        let nodes: Vec<NodeId> = (0..bound as u32).map(NodeId).collect();
-        let matches = sharded.read_batch(&nodes) == single.read_batch(&nodes);
+        let nodes: Vec<NodeId> = (0..mirror.id_bound() as u32).map(NodeId).collect();
+        let matches = |sys: &EagrSystem<Sum>| {
+            oracle
+                .mismatch(&mirror, &nodes, &sys.read_batch(&nodes))
+                .is_none()
+        };
         for (engine, ops, eps, is_match) in [
-            ("single-thread", single_ops, epochs, None),
-            ("sharded", sharded_ops, s_epochs, Some(matches)),
+            ("single-thread", single_ops, epochs, matches(&single)),
+            ("sharded", sharded_ops, s_epochs, matches(&sharded)),
         ] {
             t.row(&[
                 &format!("{pct}%"),
@@ -124,24 +127,21 @@ fn main() {
                 &f(ops),
                 &muts,
                 &eps,
-                &is_match.map_or("-".into(), |m| format!("{}", m as u8)),
+                &(is_match as u8),
             ]);
-            let mut obj = vec![
+            rows.push(Json::obj(vec![
                 ("churn_pct", Json::Num(pct as f64)),
                 ("engine", Json::Str(engine.into())),
                 ("ops_per_s", Json::Num(ops)),
                 ("mutations", Json::Num(muts as f64)),
                 ("topo_epochs", Json::Num(eps as f64)),
-            ];
-            if let Some(m) = is_match {
-                obj.push(("answers_match", Json::Num(m as u8 as f64)));
-            }
-            rows.push(Json::obj(obj));
+                ("answers_match", Json::Num(is_match as u8 as f64)),
+            ]));
         }
     }
 
-    println!("\nexpect: sharded answers equal the single-threaded reference at every");
-    println!("churn level, and throughput degrades gracefully as churn grows — the");
+    println!("\nexpect: both engines answer like the naive oracle at every churn");
+    println!("level, and throughput degrades gracefully as churn grows — the");
     println!("repair epochs never trigger a full re-plan.");
     write_json_artifact(
         "fig_churn",

@@ -7,6 +7,7 @@
 //! approach the paper argues is "unlikely to scale".
 
 use eagr_agg::{Aggregate, WindowBuffer, WindowSpec};
+use eagr_gen::Event;
 use eagr_graph::{DataGraph, Neighborhood, NodeId};
 use eagr_util::FastMap;
 
@@ -45,6 +46,54 @@ impl<A: Aggregate> NaiveOracle<A> {
             w.advance(ts, &mut sink);
             sink.clear();
         }
+    }
+
+    /// Replay a facade event stream against the oracle and `g`, a mirror
+    /// of the system's data graph: event `i` carries timestamp
+    /// `base_ts + i`, writes enter the windows, topology mutations edit
+    /// `g`, reads change nothing. Mutations must be valid at their stream
+    /// position, as [`eagr_gen::churn_stream`] emits them.
+    pub fn ingest(&mut self, g: &mut DataGraph, events: &[Event], base_ts: u64) {
+        for (i, e) in events.iter().enumerate() {
+            match *e {
+                Event::Write { node, value } => self.write(node, value, base_ts + i as u64),
+                Event::Read { .. } => {}
+                Event::AddEdge { from, to } => {
+                    g.add_edge(from, to);
+                }
+                Event::RemoveEdge { from, to } => {
+                    g.remove_edge(from, to);
+                }
+                Event::AddNode { node } => {
+                    while g.id_bound() <= node.idx() {
+                        g.add_node();
+                    }
+                }
+                Event::RemoveNode { node } => g.remove_node(node),
+            }
+        }
+    }
+
+    /// The first of `nodes` whose engine answer (`answers[i]` answers
+    /// `nodes[i]`, as a batch read returns them) disagrees with the oracle
+    /// over `g`. An answer agrees when it equals the fold over the node's
+    /// neighborhood, or when it is absent and that neighborhood is empty —
+    /// the overlay has no reader there.
+    pub fn mismatch(
+        &self,
+        g: &DataGraph,
+        nodes: &[NodeId],
+        answers: &[Option<A::Output>],
+    ) -> Option<NodeId> {
+        assert_eq!(nodes.len(), answers.len(), "one answer per node");
+        nodes
+            .iter()
+            .zip(answers)
+            .find(|&(&v, got)| match got {
+                Some(got) => *got != self.read(g, v),
+                None => !self.neighborhood.select(g, v).is_empty(),
+            })
+            .map(|(&v, _)| v)
     }
 
     /// Evaluate the query at `v` from scratch.

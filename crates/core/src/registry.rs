@@ -8,10 +8,10 @@
 //! the same answer for every query (the overlay allows one reader per data
 //! node). Attaching a query to an existing stratum extends the overlay *in
 //! place* — ids are append-only stable — reusing existing writers, readers,
-//! and partial aggregation nodes, and carries the warm engine state (window
-//! buffers + PAOs) across the runtime rebuild by index. Detaching releases
-//! per-node reference counts and retires exactly the nodes no remaining
-//! query reads.
+//! and partial aggregation nodes, and the stratum's engine installs the
+//! extended plan in place, carrying the warm engine state (window buffers +
+//! PAOs) by index. Detaching releases per-node reference counts and retires
+//! exactly the nodes no remaining query reads.
 //!
 //! Fresh writers created mid-stream are backfilled from a bounded
 //! [`WriteHistory`] ring; writers whose ring has evicted in-window entries
@@ -19,7 +19,7 @@
 //! stream progresses, same as any newly deployed query would).
 
 use eagr_agg::{Aggregate, WindowBuffer, WindowSpec};
-use eagr_exec::{EngineCore, EngineState, ParallelEngine, ShardedEngine, TransportError};
+use eagr_exec::{ShardedEngine, TransportError};
 use eagr_flow::Decisions;
 use eagr_graph::{Neighborhood, NodeId};
 use eagr_overlay::{Overlay, OverlayId, OverlayKind, RefCounts};
@@ -155,12 +155,13 @@ pub struct RegistryStats {
     pub queries: usize,
     /// Live overlay nodes summed across strata.
     pub live_nodes: usize,
-    /// Committed live migrations summed across sharded strata (see
+    /// Committed live migrations summed across strata (see
     /// [`ShardedEngine::rebalances`](eagr_exec::ShardedEngine::rebalances)).
     pub rebalances: u64,
     /// Overlay nodes moved across shards by those migrations.
     pub nodes_migrated: u64,
-    /// Slab slots currently orphaned by migration, awaiting compaction.
+    /// Slab slots currently orphaned by migration or node retirement,
+    /// awaiting compaction.
     pub orphaned_pao_slots: u64,
     /// Orphaned slab slots reclaimed by compaction so far.
     pub slots_reclaimed: u64,
@@ -242,16 +243,51 @@ impl WriteHistory {
             };
         (buf, exact)
     }
+
+    /// [`backfill`](Self::backfill) every writer among `ids` (other node
+    /// kinds are skipped), keeping the non-empty windows by overlay id.
+    pub(crate) fn backfill_writers(
+        &self,
+        overlay: &Overlay,
+        ids: impl IntoIterator<Item = OverlayId>,
+        spec: WindowSpec,
+        now: u64,
+    ) -> Backfill {
+        let mut out = Backfill::default();
+        for wid in ids {
+            let OverlayKind::Writer(w) = overlay.kind(wid) else {
+                continue;
+            };
+            let (buf, exact) = self.backfill(w, spec, now);
+            if exact {
+                out.exact += 1;
+            } else {
+                out.cold += 1;
+            }
+            if !buf.is_empty() {
+                out.windows.push((wid, buf));
+            }
+        }
+        out
+    }
+}
+
+/// Windows reconstructed for fresh writers by
+/// [`WriteHistory::backfill_writers`].
+#[derive(Default)]
+pub(crate) struct Backfill {
+    /// Non-empty reconstructed windows, by writer.
+    pub(crate) windows: Vec<(OverlayId, WindowBuffer)>,
+    /// Writers whose window was rebuilt exactly.
+    pub(crate) exact: usize,
+    /// Writers whose ring had evicted in-window entries.
+    pub(crate) cold: usize,
 }
 
 // ---------------------------------------------------------------------------
 // Strata
 // ---------------------------------------------------------------------------
 
-/// The engine a stratum dispatches to, per
-/// [`ExecutionMode`](crate::system::ExecutionMode). Engines sit behind
-/// `Arc` so attach/detach can rebuild a stratum's runtime while handles
-/// hold clones of the registry lock only, never of the engine.
 /// The facade's transport-failure policy: the sharded engine reports
 /// shard-peer loss as a typed [`TransportError`], and callers that can
 /// recover handle the `Result` on [`ShardedEngine`] directly. The facade's
@@ -262,123 +298,45 @@ pub(crate) fn transport_ok<T>(r: Result<T, TransportError>) -> T {
     r.unwrap_or_else(|e| panic!("sharded runtime lost its shard transport: {e}"))
 }
 
-pub(crate) enum Runtime<A: Aggregate> {
-    /// Synchronous execution on the shared core.
-    Local(Arc<EngineCore<A>>),
-    /// Shared core + resident two-pool engine for batch ingestion.
-    TwoPool {
-        core: Arc<EngineCore<A>>,
-        engine: ParallelEngine<A>,
-    },
-    /// Shard-owned runtime (PAOs live in shard slabs inside the engine).
-    Sharded(Arc<ShardedEngine<A>>),
-}
-
-impl<A: Aggregate> Runtime<A> {
-    /// Wait until all in-flight asynchronous work is applied (no-op for
-    /// the synchronous local runtime). Attach/detach quiesce before
-    /// snapshotting state.
-    pub(crate) fn quiesce(&self) {
-        match self {
-            Runtime::Local(_) => {}
-            Runtime::TwoPool { engine, .. } => engine.drain(),
-            Runtime::Sharded(eng) => transport_ok(eng.drain()),
-        }
-    }
-
-    /// Epoch-consistent point read (shard-executed in sharded mode).
-    pub(crate) fn read(&self, v: NodeId) -> Option<A::Output> {
-        match self {
-            Runtime::Local(core) | Runtime::TwoPool { core, .. } => core.read(v),
-            Runtime::Sharded(eng) => transport_ok(eng.read_service(v)),
-        }
-    }
-
-    /// Epoch-consistent batch read (fanned out through the shard inboxes
-    /// in sharded mode).
-    pub(crate) fn read_batch(&self, nodes: &[NodeId]) -> Vec<Option<A::Output>> {
-        match self {
-            Runtime::Local(core) | Runtime::TwoPool { core, .. } => {
-                nodes.iter().map(|&v| core.read(v)).collect()
-            }
-            Runtime::Sharded(eng) => transport_ok(eng.read_batch(nodes)),
-        }
-    }
-
-    /// Snapshot window + PAO state for a rebuild (quiesce first).
-    pub(crate) fn export_state(&self) -> EngineState<A::Partial> {
-        match self {
-            Runtime::Local(core) | Runtime::TwoPool { core, .. } => core.export_state(),
-            Runtime::Sharded(eng) => eng.core().export_state(),
-        }
-    }
-
-    /// Seed a freshly built runtime: install carried state, backfill fresh
-    /// writers, then materialize fresh/upgraded push nodes in topological
-    /// order (writers before the partials and readers they feed).
-    pub(crate) fn seed(
-        &self,
-        carried: Option<&EngineState<A::Partial>>,
-        backfill: &[(OverlayId, WindowBuffer)],
-        fresh_push: &FastSet<OverlayId>,
-    ) {
-        match self {
-            Runtime::Local(core) | Runtime::TwoPool { core, .. } => {
-                seed_core(core, carried, backfill, fresh_push)
-            }
-            Runtime::Sharded(eng) => seed_core(&eng.core(), carried, backfill, fresh_push),
-        }
-    }
-}
-
-fn seed_core<A: Aggregate, S: eagr_exec::PaoStore<A::Partial>>(
-    core: &EngineCore<A, S>,
-    carried: Option<&EngineState<A::Partial>>,
-    backfill: &[(OverlayId, WindowBuffer)],
-    fresh_push: &FastSet<OverlayId>,
-) {
-    if let Some(state) = carried {
-        core.install_state(state);
-    }
-    for (wid, buf) in backfill {
-        core.install_window(*wid, buf);
-    }
-    if fresh_push.is_empty() && backfill.is_empty() {
-        return;
-    }
-    let overlay = core.overlay();
-    for n in overlay.topo_order() {
-        if overlay.is_retired(n) || !core.is_push(n) {
-            continue;
-        }
-        let backfilled = backfill.iter().any(|(wid, _)| *wid == n);
-        if !fresh_push.contains(&n) && !backfilled {
-            continue;
-        }
-        if matches!(overlay.kind(n), OverlayKind::Writer(_)) {
-            core.rebuild_writer_pao(n);
-        } else {
-            core.materialize(n);
-        }
-    }
-}
-
 /// One window/neighborhood group: a shared overlay + engine serving every
 /// query attached to it.
 pub(crate) struct Stratum<A: Aggregate> {
     pub(crate) agg: A,
     pub(crate) window: WindowSpec,
     pub(crate) neighborhood: Neighborhood,
-    /// Mutable master copy of the overlay (the runtime holds a frozen
-    /// `Arc` clone of it; rebuilds re-freeze after extension/retirement).
+    /// Mutable master copy of the overlay (the engine holds a frozen
+    /// `Arc` clone of it; installs re-freeze after extension/retirement).
     pub(crate) overlay: Overlay,
     pub(crate) decisions: Decisions,
-    pub(crate) runtime: Runtime<A>,
+    /// The stratum's engine — one shard run inline for
+    /// [`ExecutionMode::SingleThreaded`](crate::system::ExecutionMode::SingleThreaded).
+    /// Attach, detach and topology runs change its plan in place
+    /// ([`ShardedEngine::install`]); the `Arc` itself is never replaced.
+    pub(crate) engine: Arc<ShardedEngine<A>>,
     /// Per-node query reference counts over [`eagr_overlay::used_subtree`]
     /// sets.
     pub(crate) refs: RefCounts,
     /// Attached queries.
     pub(crate) queries: usize,
+}
+
+impl<A: Aggregate + Clone> Stratum<A> {
+    /// Install the stratum's current overlay and decisions into its engine
+    /// in place ([`ShardedEngine::install`]): `backfill` seeds fresh
+    /// writers' windows, `materialize` lists the push nodes to rebuild.
+    pub(crate) fn install(
+        &self,
+        backfill: &[(OverlayId, WindowBuffer)],
+        materialize: &FastSet<OverlayId>,
+    ) {
+        transport_ok(self.engine.install(
+            self.agg.clone(),
+            Arc::new(self.overlay.clone()),
+            &self.decisions,
+            backfill,
+            materialize,
+        ));
+    }
 }
 
 impl<A: Aggregate> Stratum<A> {
@@ -471,12 +429,11 @@ impl<A: Aggregate> Registry<A> {
             ..RegistryStats::default()
         };
         for s in self.live() {
-            if let Runtime::Sharded(eng) = &s.runtime {
-                stats.rebalances += eng.rebalances();
-                stats.nodes_migrated += eng.nodes_migrated();
-                stats.orphaned_pao_slots += eng.orphaned_pao_slots();
-                stats.slots_reclaimed += eng.slots_reclaimed();
-            }
+            let eng = &s.engine;
+            stats.rebalances += eng.rebalances();
+            stats.nodes_migrated += eng.nodes_migrated();
+            stats.orphaned_pao_slots += eng.orphaned_pao_slots();
+            stats.slots_reclaimed += eng.slots_reclaimed();
         }
         stats
     }

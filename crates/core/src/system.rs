@@ -8,39 +8,38 @@
 use crate::query::{EgoQuery, QueryMode};
 use crate::registry::{
     transport_ok, AttachReport, DetachReport, IngestReport, QueryEntry, Registry, RegistryStats,
-    Runtime, Stratum, TopoReport, WriteHistory,
+    Stratum, TopoReport, WriteHistory,
 };
-use eagr_agg::{Aggregate, CostModel, WindowBuffer, WindowSpec};
+use eagr_agg::{Aggregate, CostModel};
 use eagr_exec::{
-    AdaptiveEngine, EngineCore, MigrationReport, ParallelConfig, ParallelEngine, RebalancePolicy,
-    ShardedConfig, ShardedEngine, TransportKind,
+    AdaptiveEngine, MigrationReport, RebalancePolicy, ShardedConfig, ShardedEngine, ShardedStore,
+    TransportKind,
 };
 use eagr_flow::{
-    extend_decisions, plan, topo_plan_delta, DecisionAlgorithm, Decisions, Plan, PlannerConfig,
-    Rates,
+    extend_decisions, plan, topo_plan_delta, DecisionAlgorithm, Plan, PlannerConfig, Rates,
 };
 use eagr_gen::{Event, EventBatch};
-use eagr_graph::{BipartiteGraph, DataGraph, NodeId, PartitionStrategy};
+use eagr_graph::{BipartiteGraph, DataGraph, NodeId};
 use eagr_overlay::{
     build_iob, build_vnm, extend_with_readers, metrics, used_subtree, DynamicConfig,
-    DynamicOverlay, IobConfig, IterationStats, Overlay, OverlayId, OverlayKind, RefCounts,
-    VnmConfig,
+    DynamicOverlay, IobConfig, IterationStats, Overlay, OverlayId, RefCounts, VnmConfig,
 };
 use eagr_util::FastSet;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// How a compiled system executes its workload.
+/// How a compiled system executes its workload. Every mode runs the same
+/// shard-owned engine ([`ShardedEngine`]) — one worker program for 1..n
+/// shards — so the modes differ only in how many shards there are and
+/// where their workers run.
 #[derive(Clone, Copy, Debug)]
 pub enum ExecutionMode {
-    /// The §2.2.2 uni-thread baseline: every operation runs synchronously
-    /// on the calling thread.
+    /// The §2.2.2 uni-thread baseline: a one-shard engine whose only
+    /// worker runs on the calling thread, so every operation completes
+    /// synchronously there. Identical to `Sharded { shards: 1 }` on the
+    /// in-process transport.
     SingleThreaded,
-    /// The paper's two-pool model: batch ingestion fans writes out as
-    /// PAO-granularity micro-tasks over a shared queue (point `write`s and
-    /// `read`s stay synchronous on the shared core).
-    TwoPool(ParallelConfig),
     /// The shard-owned runtime: overlay nodes are partitioned across
     /// worker-owned shards, writes are ingested in batches, cross-shard
     /// propagation travels as batched deltas drained in epochs, and reads
@@ -89,8 +88,8 @@ const DEFAULT_STREAM_HORIZON: f64 = 10_000.0;
 const DEFAULT_HISTORY_CAP: usize = 64;
 
 /// Everything about a build that is *not* the query itself — kept on the
-/// system so [`EagrSystem::attach`] compiles new strata and rebuilds
-/// runtimes with the same knobs the primary build used.
+/// system so [`EagrSystem::attach`] compiles new strata with the same
+/// knobs the primary build used.
 #[derive(Clone, Debug)]
 pub(crate) struct BuildConfig {
     pub(crate) overlay_algorithm: OverlayAlgorithm,
@@ -142,7 +141,9 @@ impl<A: Aggregate + Clone> SystemBuilder<A> {
         }
     }
 
-    /// Choose the execution mode (default single-threaded).
+    /// Choose the execution mode (default single-threaded: one shard run
+    /// on the calling thread). Both modes build the same engine, reachable
+    /// through [`EagrSystem::sharded_engine`].
     pub fn execution(mut self, mode: ExecutionMode) -> Self {
         self.config.execution = mode;
         self
@@ -181,7 +182,7 @@ impl<A: Aggregate + Clone> SystemBuilder<A> {
 
     /// Live shard-rebalancing policy for [`ExecutionMode::Sharded`]
     /// (default: manual-only — [`EagrSystem::rebalance`] works, nothing
-    /// fires automatically). Ignored by the local modes.
+    /// fires automatically). A one-shard system has nothing to rebalance.
     pub fn rebalance(mut self, policy: RebalancePolicy) -> Self {
         self.config.rebalance = policy;
         self
@@ -193,7 +194,7 @@ impl<A: Aggregate + Clone> SystemBuilder<A> {
     /// aggregate to provide [`eagr_agg::Aggregate::wire_hooks`]; building
     /// the system panics (with the transport's launch error) when the host
     /// binary cannot be found or an aggregate cannot cross the wire.
-    /// Ignored by the local modes.
+    /// Ignored by [`ExecutionMode::SingleThreaded`].
     pub fn transport(mut self, transport: TransportKind) -> Self {
         self.config.transport = transport;
         self
@@ -370,41 +371,20 @@ where
             push_amplification: 2.0,
         },
     );
-    let runtime = match cfg.execution {
-        ExecutionMode::SingleThreaded => {
-            let core = EngineCore::new(
-                query.aggregate.clone(),
-                Arc::new(p.overlay.clone()),
-                &p.decisions,
-                query.window,
-            );
-            Runtime::Local(Arc::new(core))
-        }
-        ExecutionMode::TwoPool(tp) => {
-            let core = Arc::new(EngineCore::new(
-                query.aggregate.clone(),
-                Arc::new(p.overlay.clone()),
-                &p.decisions,
-                query.window,
-            ));
-            let engine = ParallelEngine::new(Arc::clone(&core), tp);
-            Runtime::TwoPool { core, engine }
-        }
-        ExecutionMode::Sharded { shards } => {
-            let scfg = ShardedConfig::builder()
-                .shards(shards.max(1))
-                .rebalance(cfg.rebalance)
-                .transport(cfg.transport)
-                .build();
-            // The plan carries the partition so planner and engine
-            // agree on shard ownership; the planner scores hash, chunk,
-            // and edge-cut candidates by modeled cross-shard delta
-            // volume and keeps the cheapest.
-            p = p.with_auto_partition(scfg.shards);
-            let engine = ShardedEngine::from_plan(&p, query.aggregate.clone(), query.window, &scfg);
-            Runtime::Sharded(Arc::new(engine))
-        }
+    let (shards, transport) = match cfg.execution {
+        ExecutionMode::SingleThreaded => (1, TransportKind::InProcess),
+        ExecutionMode::Sharded { shards } => (shards.max(1), cfg.transport),
     };
+    let scfg = ShardedConfig::builder()
+        .shards(shards)
+        .rebalance(cfg.rebalance)
+        .transport(transport)
+        .build();
+    // The plan carries the partition so planner and engine agree on shard
+    // ownership; the planner scores hash, chunk, and edge-cut candidates
+    // by modeled cross-shard delta volume and keeps the cheapest.
+    p = p.with_auto_partition(scfg.shards);
+    let engine = ShardedEngine::from_plan(&p, query.aggregate.clone(), query.window, &scfg);
     Compiled {
         stratum: Stratum {
             agg: query.aggregate.clone(),
@@ -412,7 +392,7 @@ where
             neighborhood: query.neighborhood.clone(),
             overlay: p.overlay.clone(),
             decisions: p.decisions.clone(),
-            runtime,
+            engine: Arc::new(engine),
             refs: RefCounts::new(),
             queries: 0,
         },
@@ -421,51 +401,6 @@ where
         construction,
         cost,
         writer_window,
-    }
-}
-
-/// Rebuild a stratum's runtime over a grown (or shrunk) overlay. Unlike
-/// [`compile_stratum`] this re-freezes an overlay that was extended in
-/// place — no planner run, no partition carry: decisions were extended
-/// incrementally ([`extend_decisions`]) and the sharded engine re-derives
-/// an edge-cut partition from the new push topology.
-fn rebuild_runtime<A: Aggregate + Clone>(
-    cfg: &BuildConfig,
-    agg: &A,
-    overlay: Arc<Overlay>,
-    decisions: &Decisions,
-    window: WindowSpec,
-) -> Runtime<A>
-where
-    A::Output: Send,
-{
-    match cfg.execution {
-        ExecutionMode::SingleThreaded => Runtime::Local(Arc::new(EngineCore::new(
-            agg.clone(),
-            overlay,
-            decisions,
-            window,
-        ))),
-        ExecutionMode::TwoPool(tp) => {
-            let core = Arc::new(EngineCore::new(agg.clone(), overlay, decisions, window));
-            let engine = ParallelEngine::new(Arc::clone(&core), tp);
-            Runtime::TwoPool { core, engine }
-        }
-        ExecutionMode::Sharded { shards } => {
-            let scfg = ShardedConfig::builder()
-                .shards(shards.max(1))
-                .strategy(PartitionStrategy::EdgeCut)
-                .rebalance(cfg.rebalance)
-                .transport(cfg.transport)
-                .build();
-            Runtime::Sharded(Arc::new(ShardedEngine::new(
-                agg.clone(),
-                overlay,
-                decisions,
-                window,
-                &scfg,
-            )))
-        }
     }
 }
 
@@ -574,15 +509,14 @@ impl<A: Aggregate> QueryHandle<A> {
     }
 
     /// Evaluate this query at `v`. `None` when `v` is outside the query's
-    /// reader set or the handle is detached. Epoch-consistent in sharded
-    /// mode (routed through the shard inboxes, same as
-    /// [`EagrSystem::read`]).
+    /// reader set or the handle is detached. Epoch-consistent, same as
+    /// [`EagrSystem::read`].
     pub fn read(&self, v: NodeId) -> Option<A::Output> {
         let reg = self.inner.registry.read();
         let entry = reg.queries.get(&self.id)?;
         entry.readers.binary_search(&v).ok()?;
         let st = reg.strata[entry.stratum].as_ref()?;
-        st.runtime.read(v)
+        transport_ok(st.engine.read_service(v))
     }
 
     /// Evaluate this query at a batch of nodes; result `i` answers
@@ -596,7 +530,7 @@ impl<A: Aggregate> QueryHandle<A> {
         let Some(st) = reg.strata[entry.stratum].as_ref() else {
             return vec![None; nodes.len()];
         };
-        let mut out = st.runtime.read_batch(nodes);
+        let mut out = transport_ok(st.engine.read_batch(nodes));
         for (i, v) in nodes.iter().enumerate() {
             if entry.readers.binary_search(v).is_err() {
                 out[i] = None;
@@ -680,8 +614,6 @@ impl<A: Aggregate> EagrSystem<A> {
         let (si, mut report) = match reg.find_compatible(query.window, &query.neighborhood) {
             Some(si) => {
                 let st = reg.strata[si].as_mut().expect("compatible stratum is live");
-                // Quiesce so the exported state is epoch-consistent.
-                st.runtime.quiesce();
                 let outcome = extend_with_readers(&mut st.overlay, &wants);
                 let mut fresh: Vec<OverlayId> = outcome
                     .new_writers
@@ -694,41 +626,22 @@ impl<A: Aggregate> EagrSystem<A> {
                 st.decisions = decisions;
 
                 // Fresh writers answer over history they never saw live.
-                let mut backfill: Vec<(OverlayId, WindowBuffer)> = Vec::new();
-                let (mut backfilled, mut cold) = (0usize, 0usize);
-                {
-                    let history = self.inner.history.lock();
-                    for &wid in &outcome.new_writers {
-                        let OverlayKind::Writer(w) = st.overlay.kind(wid) else {
-                            continue;
-                        };
-                        let (buf, exact) = history.backfill(w, st.window, now);
-                        if exact {
-                            backfilled += 1;
-                        } else {
-                            cold += 1;
-                        }
-                        if !buf.is_empty() {
-                            backfill.push((wid, buf));
-                        }
-                    }
-                }
-
-                // Carry warm state across the rebuild by index (overlay
-                // ids are append-only stable under extension), then
-                // materialize only the delta.
-                let carried = st.runtime.export_state();
-                let runtime = rebuild_runtime(
-                    &self.inner.config,
-                    &st.agg,
-                    Arc::new(st.overlay.clone()),
-                    &st.decisions,
+                let backfill = self.inner.history.lock().backfill_writers(
+                    &st.overlay,
+                    outcome.new_writers.iter().copied(),
                     st.window,
+                    now,
                 );
-                let fresh_push: FastSet<OverlayId> =
-                    fresh.iter().chain(&upgraded).copied().collect();
-                runtime.seed(Some(&carried), &backfill, &fresh_push);
-                st.runtime = runtime;
+                // Install the extended plan in place: warm state carries
+                // by index (overlay ids are append-only stable under
+                // extension) and only the delta is materialized. A total
+                // overlap changed nothing, so there is nothing to install.
+                if !fresh.is_empty() || !upgraded.is_empty() {
+                    st.install(
+                        &backfill.windows,
+                        &fresh.iter().chain(&upgraded).copied().collect(),
+                    );
+                }
                 st.refs.ensure_len(st.overlay.node_count());
                 (
                     si,
@@ -738,8 +651,8 @@ impl<A: Aggregate> EagrSystem<A> {
                         reused_paos: 0, // filled from the used subtree below
                         reused_partials: outcome.reused_partials,
                         upgraded: upgraded.len(),
-                        backfilled_writers: backfilled,
-                        cold_writers: cold,
+                        backfilled_writers: backfill.exact,
+                        cold_writers: backfill.cold,
                     },
                 )
             }
@@ -749,24 +662,13 @@ impl<A: Aggregate> EagrSystem<A> {
                 // A cold stratum starts mid-stream: backfill *every*
                 // writer from history, then materialize the whole push
                 // region in topological order.
-                let mut backfill: Vec<(OverlayId, WindowBuffer)> = Vec::new();
-                let (mut backfilled, mut cold) = (0usize, 0usize);
-                {
-                    let history = self.inner.history.lock();
-                    for (wid, w) in st.overlay.writers() {
-                        let (buf, exact) = history.backfill(w, st.window, now);
-                        if exact {
-                            backfilled += 1;
-                        } else {
-                            cold += 1;
-                        }
-                        if !buf.is_empty() {
-                            backfill.push((wid, buf));
-                        }
-                    }
-                }
-                let fresh_push: FastSet<OverlayId> = st.overlay.ids().collect();
-                st.runtime.seed(None, &backfill, &fresh_push);
+                let backfill = self.inner.history.lock().backfill_writers(
+                    &st.overlay,
+                    st.overlay.writers().map(|(wid, _)| wid),
+                    st.window,
+                    now,
+                );
+                st.install(&backfill.windows, &st.overlay.ids().collect());
                 let fresh_count = st.overlay.live_node_count();
                 let si = match reg.strata.iter().position(Option::is_none) {
                     Some(slot) => {
@@ -783,8 +685,8 @@ impl<A: Aggregate> EagrSystem<A> {
                     AttachReport {
                         shared_stratum: false,
                         fresh_paos: fresh_count,
-                        backfilled_writers: backfilled,
-                        cold_writers: cold,
+                        backfilled_writers: backfill.exact,
+                        cold_writers: backfill.cold,
                         ..Default::default()
                     },
                 )
@@ -823,9 +725,9 @@ impl<A: Aggregate> EagrSystem<A> {
 
     /// Deregister a query. Reference-counted: overlay nodes (and their
     /// PAOs) shared with remaining queries stay untouched; nodes only this
-    /// query read are retired and the stratum's runtime is rebuilt around
-    /// the survivors (warm state carried by index). Dropping the last
-    /// query of a stratum tears the whole stratum down.
+    /// query read are retired in place and the stratum's engine installs
+    /// the shrunk plan (warm state carried by index, same engine). Dropping
+    /// the last query of a stratum tears the whole stratum down.
     ///
     /// Detaching an already-detached handle is a no-op returning a default
     /// (all-zero) report.
@@ -861,20 +763,10 @@ impl<A: Aggregate> EagrSystem<A> {
         // Safe to retire: every remaining query holds a reference on every
         // node of its own used subtree, so a zero-count node is upstream
         // of no surviving reader.
-        st.runtime.quiesce();
-        let carried = st.runtime.export_state();
         for &n in &zeroed {
             st.overlay.retire_node(n);
         }
-        let runtime = rebuild_runtime(
-            &self.inner.config,
-            &st.agg,
-            Arc::new(st.overlay.clone()),
-            &st.decisions,
-            st.window,
-        );
-        runtime.seed(Some(&carried), &[], &FastSet::default());
-        st.runtime = runtime;
+        st.install(&[], &FastSet::default());
         DetachReport {
             retired_paos: zeroed.len(),
             retained_paos: entry.used.len() - zeroed.len(),
@@ -891,11 +783,13 @@ impl<A: Aggregate> EagrSystem<A> {
     /// Apply a content update (a *write* on `v`) — fans out to **every**
     /// registered query's stratum.
     ///
-    /// Synchronous in the local modes; in [`ExecutionMode::Sharded`] the
-    /// write is routed to its owning shard and drained (one single-event
-    /// epoch) — use [`ingest`](Self::ingest) / [`write_batch`](Self::write_batch)
-    /// for throughput. Returns PAO updates performed where known (0 in
-    /// sharded mode).
+    /// The write is routed to its owning shard and drained (one
+    /// single-event epoch; with [`ExecutionMode::SingleThreaded`] it runs
+    /// to completion on the calling thread) — use
+    /// [`ingest`](Self::ingest) / [`write_batch`](Self::write_batch) for
+    /// throughput. Returns the PAO updates the engines applied meanwhile
+    /// ([`ShardedEngine::local_applies`]; it includes work other threads
+    /// submitted concurrently).
     pub fn write(&self, v: NodeId, value: i64, ts: u64) -> usize {
         // Keep the ingest clock ahead of explicitly timestamped point
         // writes (same guard as `apply_batch`): a later `ingest` must
@@ -905,15 +799,10 @@ impl<A: Aggregate> EagrSystem<A> {
         self.inner.history.lock().record(v, value, ts);
         let mut applied = 0;
         for st in reg.live() {
-            match &st.runtime {
-                Runtime::Local(core) | Runtime::TwoPool { core, .. } => {
-                    applied += core.write(v, value, ts);
-                }
-                Runtime::Sharded(eng) => {
-                    transport_ok(eng.submit_write(v, value, ts));
-                    transport_ok(eng.drain());
-                }
-            }
+            let before = st.engine.local_applies();
+            transport_ok(st.engine.submit_write(v, value, ts));
+            transport_ok(st.engine.drain());
+            applied += (st.engine.local_applies() - before) as usize;
         }
         applied
     }
@@ -921,52 +810,46 @@ impl<A: Aggregate> EagrSystem<A> {
     /// Evaluate the primary query at `v` (a *read* on `v`). For attached
     /// queries, read through their [`QueryHandle`] instead.
     ///
-    /// Synchronous on the shared core in the local modes. In
-    /// [`ExecutionMode::Sharded`] the read is routed to the shard worker
-    /// owning its reader and evaluated there, epoch-consistently
-    /// ([`ShardedEngine::read_service`]) — the caller thread never
-    /// evaluates shard-owned PAO state. That consistency is not free: each
-    /// call pins the epoch gate and drains in-flight work, briefly
-    /// pausing concurrent ingestion. Use [`read_batch`](Self::read_batch)
-    /// to amortize that cost over many reads, or
+    /// Evaluated epoch-consistently by the shard owning the reader
+    /// ([`ShardedEngine::read_service`]; a one-shard engine evaluates on
+    /// the calling thread). That consistency is not free: each call pins
+    /// the epoch gate and drains in-flight work, briefly pausing
+    /// concurrent ingestion. Use [`read_batch`](Self::read_batch) to
+    /// amortize that cost over many reads, or
     /// [`read_relaxed`](Self::read_relaxed) for cheap polling that
     /// tolerates mid-epoch state.
     pub fn read(&self, v: NodeId) -> Option<A::Output> {
         let reg = self.inner.registry.read();
-        reg.primary().and_then(|st| st.runtime.read(v))
+        let st = reg.primary()?;
+        transport_ok(st.engine.read_service(v))
     }
 
     /// Evaluate the primary query at `v` without consistency guarantees:
-    /// identical to [`read`](Self::read) in the local modes, but in
-    /// [`ExecutionMode::Sharded`] it evaluates on the calling thread
-    /// through the slab read locks ([`ShardedEngine::read`]) — no epoch
-    /// gate, no drain, no pause of concurrent ingestion. Between epochs it
-    /// may observe partially propagated writes (the relaxed consistency
-    /// the paper accepts); after a drain it equals [`read`](Self::read).
-    /// The right choice for hot polling loops and monitoring probes.
+    /// it evaluates on the calling thread through the slab read locks
+    /// ([`ShardedEngine::read`]) — no epoch gate, no drain, no pause of
+    /// concurrent ingestion. Between epochs of a multi-shard system it may
+    /// observe partially propagated writes (the relaxed consistency the
+    /// paper accepts); after a drain, and always on a one-shard system
+    /// between calls, it equals [`read`](Self::read). The right choice for
+    /// hot polling loops and monitoring probes.
     pub fn read_relaxed(&self, v: NodeId) -> Option<A::Output> {
         let reg = self.inner.registry.read();
-        let st = reg.primary()?;
-        match &st.runtime {
-            Runtime::Local(core) | Runtime::TwoPool { core, .. } => core.read(v),
-            Runtime::Sharded(eng) => eng.read(v),
-        }
+        reg.primary()?.engine.read(v)
     }
 
     /// Evaluate a batch of reads against the primary query; result `i`
     /// answers the query at `nodes[i]` (`None` when the node has no
     /// reader).
     ///
-    /// Mode-aware routing: the local modes evaluate synchronously on the
-    /// shared core; [`ExecutionMode::Sharded`] fans the batch out to the
-    /// shard workers owning each reader ([`ShardedEngine::read_batch`]),
-    /// where push finalizes and the local part of pull trees run against
-    /// the worker's own slab — epoch-consistent even under concurrent
-    /// ingestion.
+    /// The batch fans out to the shard workers owning each reader
+    /// ([`ShardedEngine::read_batch`]), where push finalizes and the local
+    /// part of pull trees run against the worker's own slab —
+    /// epoch-consistent even under concurrent ingestion. A one-shard
+    /// system evaluates the batch on the calling thread.
     pub fn read_batch(&self, nodes: &[NodeId]) -> Vec<Option<A::Output>> {
         let reg = self.inner.registry.read();
         match reg.primary() {
-            Some(st) => st.runtime.read_batch(nodes),
+            Some(st) => transport_ok(st.engine.read_batch(nodes)),
             None => vec![None; nodes.len()],
         }
     }
@@ -974,30 +857,22 @@ impl<A: Aggregate> EagrSystem<A> {
     /// Expire time-window values across **every** registered query's
     /// stratum. Returns PAO updates performed, summed across strata.
     ///
-    /// In [`ExecutionMode::Sharded`] the sweep is routed through the shard
-    /// inboxes — each owning worker expires its own writers' windows — and
-    /// drained as one epoch, so it is safe to call concurrently with
-    /// ingestion (the caller thread never mutates shard-owned state). The
-    /// returned count then covers everything applied while the sweep
-    /// drained, including concurrently ingested writes.
+    /// The sweep is routed through the shard inboxes — each owning worker
+    /// expires its own writers' windows — and drained as one epoch, so it
+    /// is safe to call concurrently with ingestion. The returned count
+    /// then covers everything applied while the sweep drained, including
+    /// concurrently ingested writes.
     pub fn advance_time(&self, ts: u64) -> usize {
         let reg = self.inner.registry.read();
         reg.live()
-            .map(|st| match &st.runtime {
-                Runtime::Local(core) | Runtime::TwoPool { core, .. } => core.advance_time(ts),
-                Runtime::Sharded(eng) => transport_ok(eng.advance_time_epoch(ts)) as usize,
-            })
+            .map(|st| transport_ok(st.engine.advance_time_epoch(ts)) as usize)
             .sum()
     }
 
-    /// Apply one timestamped batch through the mode's batch path and wait
-    /// for it to be fully applied; returns an [`IngestReport`] of events
-    /// executed (each event counted once, however many queries it feeds).
-    ///
-    /// * single-threaded — synchronous replay;
-    /// * two-pool — writes become queued micro-tasks, fire-and-forget
-    ///   reads go to the read pool, then the pools are drained;
-    /// * sharded — one ingestion epoch ([`ShardedEngine::ingest_epoch`]).
+    /// Apply one timestamped batch as one ingestion epoch
+    /// ([`ShardedEngine::ingest_epoch`]) and wait for it to be fully
+    /// applied; returns an [`IngestReport`] of events executed (each event
+    /// counted once, however many queries it feeds).
     pub fn write_batch(&self, batch: &EventBatch) -> IngestReport
     where
         A: Clone,
@@ -1006,7 +881,7 @@ impl<A: Aggregate> EagrSystem<A> {
         self.apply_batch(&batch.events, batch.base_ts)
     }
 
-    /// Ingest a run of events through the mode's batch path, stamping them
+    /// Ingest a run of events through the batch path, stamping them
     /// with consecutive stream positions (continuing across calls);
     /// returns an [`IngestReport`]. Equivalent to
     /// [`write_batch`](Self::write_batch) with an automatic base
@@ -1027,8 +902,8 @@ impl<A: Aggregate> EagrSystem<A> {
     /// and [`ingest`](Self::ingest); event `i` carries `base_ts + i`.
     ///
     /// The stream is split into maximal content/topology runs at the same
-    /// positions in every mode: content runs go down the mode's batch
-    /// path, each topology run becomes one repair epoch
+    /// positions in every mode: content runs go down the batch path, each
+    /// topology run becomes one repair epoch
     /// ([`apply_topo_run`](Self::apply_topo_run)) between them, so a write
     /// after a mutation always executes on the mutated topology.
     fn apply_batch(&self, events: &[Event], base_ts: u64) -> IngestReport
@@ -1060,8 +935,8 @@ impl<A: Aggregate> EagrSystem<A> {
         report
     }
 
-    /// One maximal run of content (write/read) events down the mode's
-    /// batch path; event `i` of the run carries `base_ts + i`.
+    /// One maximal run of content (write/read) events down the batch path;
+    /// event `i` of the run carries `base_ts + i`.
     fn apply_content_run(&self, events: &[Event], base_ts: u64, report: &mut IngestReport)
     where
         A::Output: Send,
@@ -1088,44 +963,7 @@ impl<A: Aggregate> EagrSystem<A> {
             }
         }
         for st in reg.live() {
-            match &st.runtime {
-                Runtime::Local(core) => {
-                    for (i, e) in events.iter().enumerate() {
-                        match *e {
-                            Event::Write { node, value } => {
-                                core.write(node, value, base_ts + i as u64);
-                            }
-                            Event::Read { node } => {
-                                std::hint::black_box(core.read(node));
-                            }
-                            Event::AddEdge { .. }
-                            | Event::RemoveEdge { .. }
-                            | Event::AddNode { .. }
-                            | Event::RemoveNode { .. } => {}
-                        }
-                    }
-                }
-                Runtime::TwoPool { engine, .. } => {
-                    for (i, e) in events.iter().enumerate() {
-                        match *e {
-                            Event::Write { node, value } => {
-                                engine.submit_write(node, value, base_ts + i as u64);
-                            }
-                            Event::Read { node } => {
-                                engine.submit_read(node);
-                            }
-                            Event::AddEdge { .. }
-                            | Event::RemoveEdge { .. }
-                            | Event::AddNode { .. }
-                            | Event::RemoveNode { .. } => {}
-                        }
-                    }
-                    engine.drain();
-                }
-                Runtime::Sharded(eng) => {
-                    let _ = transport_ok(eng.ingest_epoch_at(events, base_ts));
-                }
-            }
+            transport_ok(st.engine.ingest_epoch_at(events, base_ts));
         }
     }
 
@@ -1150,11 +988,9 @@ impl<A: Aggregate> EagrSystem<A> {
     /// Apply one maximal run of topology mutations: validate against the
     /// shared graph, repair every stratum's overlay incrementally (§3.3
     /// via [`DynamicOverlay`]), map each repair to a plan delta
-    /// ([`topo_plan_delta`] — no planner re-run), and move each runtime
-    /// onto the repaired topology. The sharded engine swaps cores in
-    /// place through [`ShardedEngine::apply_topo`] (workers keep running
-    /// across the epoch); the local modes rebuild and re-seed from
-    /// carried state.
+    /// ([`topo_plan_delta`] — no planner re-run), and install each repair
+    /// in place through [`ShardedEngine::apply_topo`] (workers keep
+    /// running across the epoch).
     fn apply_topo_run(&self, muts: &[Event]) -> TopoReport
     where
         A: Clone,
@@ -1211,7 +1047,6 @@ impl<A: Aggregate> EagrSystem<A> {
             run.epochs = 1;
             for slot in reg.strata.iter_mut() {
                 let Some(st) = slot.as_mut() else { continue };
-                st.runtime.quiesce();
                 // Each stratum replays against its own clone of the
                 // pre-mutation graph: the repair diffs neighborhoods
                 // before/after, so it must start from the before-state.
@@ -1253,44 +1088,20 @@ impl<A: Aggregate> EagrSystem<A> {
                 let delta = topo_plan_delta(&overlay, &st.decisions, &fresh, &dirty);
                 // Writers born mid-stream answer over history they never
                 // saw arrive.
-                let mut backfill: Vec<(OverlayId, WindowBuffer)> = Vec::new();
-                {
-                    let history = self.inner.history.lock();
-                    for &wid in &fresh {
-                        if let OverlayKind::Writer(w) = overlay.kind(wid) {
-                            let (buf, _exact) = history.backfill(w, st.window, now);
-                            if !buf.is_empty() {
-                                backfill.push((wid, buf));
-                            }
-                        }
-                    }
-                }
-                let frozen = Arc::new(overlay.clone());
-                match &st.runtime {
-                    Runtime::Sharded(eng) => {
-                        let rep = transport_ok(eng.apply_topo(
-                            st.agg.clone(),
-                            frozen,
-                            &delta.decisions,
-                            &backfill,
-                            &delta.materialize,
-                        ));
-                        run.rematerialized += rep.rematerialized as u64;
-                    }
-                    _ => {
-                        let carried = st.runtime.export_state();
-                        let runtime = rebuild_runtime(
-                            &self.inner.config,
-                            &st.agg,
-                            frozen,
-                            &delta.decisions,
-                            st.window,
-                        );
-                        runtime.seed(Some(&carried), &backfill, &delta.materialize);
-                        st.runtime = runtime;
-                        run.rematerialized += delta.materialize.len() as u64;
-                    }
-                }
+                let backfill = self.inner.history.lock().backfill_writers(
+                    &overlay,
+                    fresh.iter().copied(),
+                    st.window,
+                    now,
+                );
+                let rep = transport_ok(st.engine.apply_topo(
+                    st.agg.clone(),
+                    Arc::new(overlay.clone()),
+                    &delta.decisions,
+                    &backfill.windows,
+                    &delta.materialize,
+                ));
+                run.rematerialized += rep.rematerialized as u64;
                 run.fresh_overlay_nodes += fresh.len() as u64;
                 run.retired_overlay_nodes += retired as u64;
                 st.overlay = overlay;
@@ -1320,65 +1131,57 @@ impl<A: Aggregate> EagrSystem<A> {
         self.inner.clock.load(Ordering::Relaxed)
     }
 
-    /// The primary stratum's shared engine core (for parallel or adaptive
-    /// execution).
-    ///
-    /// # Panics
-    /// Panics in [`ExecutionMode::Sharded`], where PAO state lives in
-    /// shard slabs — use [`sharded_engine`](Self::sharded_engine) instead.
-    pub fn core(&self) -> Arc<EngineCore<A>> {
-        let reg = self.inner.registry.read();
-        let st = reg.primary().expect("no live stratum");
-        match &st.runtime {
-            Runtime::Local(core) | Runtime::TwoPool { core, .. } => Arc::clone(core),
-            Runtime::Sharded(_) => {
-                panic!("core() requires a local execution mode; use sharded_engine()")
-            }
-        }
-    }
-
-    /// The primary stratum's resident sharded engine, when built with
-    /// [`ExecutionMode::Sharded`].
+    /// The primary stratum's engine: one shard run on the calling thread
+    /// for [`ExecutionMode::SingleThreaded`], `shards` owning workers for
+    /// [`ExecutionMode::Sharded`]. The same `Arc` serves the stratum for
+    /// its whole life — attach, detach and topology runs install their
+    /// plan changes into it in place — so counters keep counting and held
+    /// handles stay current. `None` only once every query is detached.
     pub fn sharded_engine(&self) -> Option<Arc<ShardedEngine<A>>> {
         let reg = self.inner.registry.read();
-        match &reg.primary()?.runtime {
-            Runtime::Sharded(eng) => Some(Arc::clone(eng)),
-            _ => None,
-        }
+        reg.primary().map(|st| Arc::clone(&st.engine))
+    }
+
+    /// The primary engine when it has shards to rebalance or compact.
+    fn multi_shard_engine(&self) -> Option<Arc<ShardedEngine<A>>> {
+        self.sharded_engine().filter(|eng| eng.shard_count() > 1)
     }
 
     /// Manually trigger one live shard rebalance
     /// ([`ShardedEngine::rebalance`]): refine the node→shard map from
     /// observed load and migrate the affected PAO state with the two-phase
     /// copy-then-flip protocol — ingestion keeps running through the copy;
-    /// only the final flip is epoch-fenced. `None` in the local modes
+    /// only the final flip is epoch-fenced. `None` on a one-shard system
     /// (there is nothing to rebalance).
     pub fn rebalance(&self) -> Option<MigrationReport> {
-        self.sharded_engine()
+        self.multi_shard_engine()
             .map(|eng| transport_ok(eng.rebalance()))
     }
 
     /// Compact the sharded PAO slabs, reclaiming slots orphaned by past
     /// migrations ([`ShardedEngine::compact`]). Returns the number of
-    /// slots reclaimed; `None` in the local modes (local stores have no
-    /// slabs to compact).
+    /// slots reclaimed; `None` on a one-shard system.
     pub fn compact(&self) -> Option<u64> {
-        self.sharded_engine().map(|eng| transport_ok(eng.compact()))
+        self.multi_shard_engine()
+            .map(|eng| transport_ok(eng.compact()))
     }
 
-    /// Spawn a multi-threaded engine over this system's state (local
-    /// modes only; see [`core`](Self::core)).
-    pub fn parallel(&self, cfg: ParallelConfig) -> ParallelEngine<A>
-    where
-        A::Output: Send,
-    {
-        ParallelEngine::new(self.core(), cfg)
-    }
-
-    /// Wrap the engine with §4.8 runtime adaptation (local modes only; see
-    /// [`core`](Self::core)).
-    pub fn adaptive(&self, check_every: u64) -> AdaptiveEngine<A> {
-        AdaptiveEngine::new(self.core(), self.cost, self.writer_window, check_every)
+    /// Wrap the primary engine's core with §4.8 runtime adaptation. The
+    /// adaptive engine executes on the calling thread against the core's
+    /// single slab, so it needs the one in-process shard of
+    /// [`ExecutionMode::SingleThreaded`]. Like any core handle it goes
+    /// stale when attach, detach or a topology run installs a new plan.
+    ///
+    /// # Panics
+    /// Panics on a multi-shard or process-transport system, where PAO
+    /// state is owned by shard workers.
+    pub fn adaptive(&self, check_every: u64) -> AdaptiveEngine<A, ShardedStore<A::Partial>> {
+        let eng = self.sharded_engine().expect("no live stratum");
+        assert!(
+            eng.shard_count() == 1 && eng.transport_kind() == TransportKind::InProcess,
+            "adaptive() requires ExecutionMode::SingleThreaded"
+        );
+        AdaptiveEngine::new(eng.core(), self.cost, self.writer_window, check_every)
     }
 
     /// The overlay the primary query compiled to (a construction-time
@@ -1538,16 +1341,12 @@ mod tests {
             },
         );
         let nodes: Vec<NodeId> = (0..120u32).map(NodeId).collect();
-        let modes = [
+        let mut oracle = NaiveOracle::new(Sum, WindowSpec::Tuple(1), Neighborhood::In);
+        oracle.ingest(&mut g.clone(), &events, 0);
+        for mode in [
             ExecutionMode::SingleThreaded,
-            ExecutionMode::TwoPool(ParallelConfig {
-                write_threads: 2,
-                read_threads: 1,
-            }),
             ExecutionMode::Sharded { shards: 4 },
-        ];
-        let mut answers = Vec::new();
-        for mode in modes {
+        ] {
             let sys = EagrSystem::builder(EgoQuery::new(Sum))
                 .execution(mode)
                 .build(&g);
@@ -1555,12 +1354,10 @@ mod tests {
             let batch = sys.read_batch(&nodes);
             // Point reads and batch reads agree within a mode.
             for (i, &v) in nodes.iter().enumerate() {
-                assert_eq!(batch[i], sys.read(v), "node {v:?}");
+                assert_eq!(batch[i], sys.read(v), "{mode:?} node {v:?}");
             }
-            answers.push(batch);
+            assert_eq!(oracle.mismatch(&g, &nodes, &batch), None, "{mode:?}");
         }
-        assert_eq!(answers[0], answers[1], "two-pool diverged from single");
-        assert_eq!(answers[0], answers[2], "sharded diverged from single");
     }
 
     #[test]
@@ -1619,31 +1416,6 @@ mod tests {
     }
 
     #[test]
-    fn two_pool_mode_ingests_batches() {
-        let g = social_graph(100, 3, 13);
-        let sys = EagrSystem::builder(EgoQuery::new(Sum))
-            .execution(ExecutionMode::TwoPool(ParallelConfig {
-                write_threads: 2,
-                read_threads: 1,
-            }))
-            .build(&g);
-        let events = generate_events(
-            100,
-            &WorkloadConfig {
-                events: 2000,
-                write_to_read: 3.0,
-                seed: 14,
-                ..Default::default()
-            },
-        );
-        let report = sys.ingest(&events);
-        assert_eq!(report.total(), 2000);
-        // Point ops remain synchronous on the shared core.
-        sys.write(NodeId(0), 5, 1_000_000);
-        let _ = sys.read(NodeId(1));
-    }
-
-    #[test]
     fn ingest_clock_is_monotonic_across_calls() {
         let g = social_graph(60, 3, 15);
         let sys = EagrSystem::builder(EgoQuery::new(Sum)).build(&g);
@@ -1667,15 +1439,10 @@ mod tests {
     #[test]
     fn point_write_advances_ingest_clock_in_every_mode() {
         let g = social_graph(60, 3, 15);
-        let modes = [
+        for mode in [
             ExecutionMode::SingleThreaded,
-            ExecutionMode::TwoPool(ParallelConfig {
-                write_threads: 1,
-                read_threads: 1,
-            }),
             ExecutionMode::Sharded { shards: 2 },
-        ];
-        for mode in modes {
+        ] {
             let sys = EagrSystem::builder(EgoQuery::new(Sum))
                 .execution(mode)
                 .build(&g);
@@ -1700,14 +1467,6 @@ mod tests {
     #[test]
     fn sharded_advance_time_matches_local_expiration() {
         let g = social_graph(80, 4, 31);
-        let build = |mode| {
-            EagrSystem::builder(EgoQuery::new(Sum).window(WindowSpec::Time(50)))
-                .decisions(DecisionAlgorithm::AllPush)
-                .execution(mode)
-                .build(&g)
-        };
-        let local = build(ExecutionMode::SingleThreaded);
-        let sharded = build(ExecutionMode::Sharded { shards: 3 });
         let events = generate_events(
             80,
             &WorkloadConfig {
@@ -1717,21 +1476,27 @@ mod tests {
                 ..Default::default()
             },
         );
-        for batch in eagr_gen::batch_events(&events, 250, 0) {
-            local.write_batch(&batch);
-            sharded.write_batch(&batch);
-        }
-        // Expire most of the stream; the sharded sweep runs on the shard
-        // workers, the local one on the caller thread — same answers.
-        let applied = sharded.advance_time(1900);
-        assert!(applied > 0, "expirations must be applied");
-        local.advance_time(1900);
-        for v in 0..80u32 {
-            assert_eq!(
-                sharded.read(NodeId(v)),
-                local.read(NodeId(v)),
-                "node {v} after expiration"
-            );
+        let mut oracle = NaiveOracle::new(Sum, WindowSpec::Time(50), Neighborhood::In);
+        oracle.ingest(&mut g.clone(), &events, 0);
+        oracle.advance_time(1900);
+        let nodes: Vec<NodeId> = (0..80u32).map(NodeId).collect();
+        for mode in [
+            ExecutionMode::SingleThreaded,
+            ExecutionMode::Sharded { shards: 3 },
+        ] {
+            let sys = EagrSystem::builder(EgoQuery::new(Sum).window(WindowSpec::Time(50)))
+                .decisions(DecisionAlgorithm::AllPush)
+                .execution(mode)
+                .build(&g);
+            for batch in eagr_gen::batch_events(&events, 250, 0) {
+                sys.write_batch(&batch);
+            }
+            // Expire most of the stream: the sweep runs through the shard
+            // inboxes, on the calling thread for one shard.
+            let applied = sys.advance_time(1900);
+            assert!(applied > 0, "{mode:?}: expirations must be applied");
+            let got = sys.read_batch(&nodes);
+            assert_eq!(oracle.mismatch(&g, &nodes, &got), None, "{mode:?}");
         }
     }
 
@@ -1750,21 +1515,21 @@ mod tests {
                 ..Default::default()
             },
         );
-        let single = EagrSystem::builder(EgoQuery::new(Sum)).build(&g);
-        let sharded = EagrSystem::builder(EgoQuery::new(Sum))
-            .execution(ExecutionMode::Sharded { shards: 3 })
-            .build(&g);
-        assert_eq!(single.ingest(&events), sharded.ingest(&events));
-    }
-
-    #[test]
-    #[should_panic(expected = "core() requires a local execution mode")]
-    fn core_access_panics_in_sharded_mode() {
-        let g = social_graph(50, 3, 16);
-        let sys = EagrSystem::builder(EgoQuery::new(Sum))
-            .execution(ExecutionMode::Sharded { shards: 2 })
-            .build(&g);
-        let _ = sys.core();
+        let writes = events.iter().filter(|e| e.is_write()).count();
+        let want = IngestReport {
+            writes,
+            reads: events.len() - writes,
+            mutations: 0,
+        };
+        for mode in [
+            ExecutionMode::SingleThreaded,
+            ExecutionMode::Sharded { shards: 3 },
+        ] {
+            let sys = EagrSystem::builder(EgoQuery::new(Sum))
+                .execution(mode)
+                .build(&g);
+            assert_eq!(sys.ingest(&events), want, "{mode:?}");
+        }
     }
 
     #[test]
@@ -1923,12 +1688,10 @@ mod tests {
         assert!(report.shared_stratum);
         assert!(report.backfilled_writers > 0, "{report:?}");
         assert_eq!(report.cold_writers, 0, "Tuple(1) backfill is exact");
-        // Reference: a cold system replaying the same stream.
-        let reference = EagrSystem::builder(EgoQuery::new(Sum)).build(&g);
-        reference.ingest(&events);
-        for v in 0..60u32 {
-            assert_eq!(h.read(NodeId(v)), reference.read(NodeId(v)), "node {v}");
-        }
+        let mut oracle = NaiveOracle::new(Sum, WindowSpec::Tuple(1), Neighborhood::In);
+        oracle.ingest(&mut g.clone(), &events, 0);
+        let nodes: Vec<NodeId> = (0..60u32).map(NodeId).collect();
+        assert_eq!(oracle.mismatch(&g, &nodes, &h.read_batch(&nodes)), None);
     }
 
     #[test]
@@ -2089,30 +1852,23 @@ mod tests {
                 .build(&g)
         };
         let local = build(ExecutionMode::SingleThreaded);
-        let pooled = build(ExecutionMode::TwoPool(ParallelConfig {
-            write_threads: 2,
-            read_threads: 1,
-        }));
         let sharded = build(ExecutionMode::Sharded { shards: 3 });
-        let mut bound = g.id_bound();
+        let mut mirror = g.clone();
+        let mut oracle = NaiveOracle::new(Sum, WindowSpec::Tuple(1), Neighborhood::In);
+        let mut ts = 0u64;
         for batch in &epochs {
             let rl = local.ingest(batch);
-            let rp = pooled.ingest(batch);
             let rs = sharded.ingest(batch);
-            assert_eq!(rl, rp, "local vs two-pool ingest report");
             assert_eq!(rl, rs, "local vs sharded ingest report");
+            assert_eq!(rl.total(), batch.len());
             assert!(rl.mutations > 0, "churn epochs carry mutations");
-            for e in batch {
-                if let Event::AddNode { node } = *e {
-                    bound = bound.max(node.idx() + 1);
-                }
+            oracle.ingest(&mut mirror, batch, ts);
+            ts += batch.len() as u64;
+            let nodes: Vec<NodeId> = (0..mirror.id_bound() as u32).map(NodeId).collect();
+            for sys in [&local, &sharded] {
+                let got = sys.read_batch(&nodes);
+                assert_eq!(oracle.mismatch(&mirror, &nodes, &got), None, "under churn");
             }
-            let nodes: Vec<NodeId> = (0..bound as u32).map(NodeId).collect();
-            let vl = local.read_batch(&nodes);
-            let vp = pooled.read_batch(&nodes);
-            let vs = sharded.read_batch(&nodes);
-            assert_eq!(vl, vp, "local vs two-pool answers under churn");
-            assert_eq!(vl, vs, "local vs sharded answers under churn");
         }
         let tl = local.registry_stats().topo;
         let ts = sharded.registry_stats().topo;

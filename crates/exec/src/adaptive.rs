@@ -1,12 +1,14 @@
 //! Runtime adaptation of dataflow decisions (§4.8).
 //!
-//! [`AdaptiveEngine`] wraps an [`EngineCore`] and periodically re-evaluates
+//! [`AdaptiveEngine`] wraps an [`EngineCore`] — over any PAO store, like
+//! the core itself — and periodically re-evaluates
 //! the push/pull frontier against the *observed* push/pull frequencies the
 //! core collects. A flip is applied through
 //! [`EngineCore::set_decision`], which materializes (pull→push) or clears
 //! (push→pull) the node's PAO.
 
 use crate::core::EngineCore;
+use crate::store::{LockedStore, PaoStore};
 use eagr_agg::{Aggregate, CostModel};
 use eagr_graph::NodeId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,8 +16,11 @@ use std::sync::Arc;
 
 /// Adaptive wrapper: processes events and re-plans the frontier every
 /// `check_every` operations.
-pub struct AdaptiveEngine<A: Aggregate> {
-    core: Arc<EngineCore<A>>,
+pub struct AdaptiveEngine<
+    A: Aggregate,
+    S: PaoStore<A::Partial> = LockedStore<<A as Aggregate>::Partial>,
+> {
+    core: Arc<EngineCore<A, S>>,
     cost: CostModel,
     writer_window: usize,
     check_every: u64,
@@ -23,10 +28,10 @@ pub struct AdaptiveEngine<A: Aggregate> {
     flips_total: AtomicU64,
 }
 
-impl<A: Aggregate> AdaptiveEngine<A> {
+impl<A: Aggregate, S: PaoStore<A::Partial>> AdaptiveEngine<A, S> {
     /// Wrap a core with an adaptation period (in processed operations).
     pub fn new(
-        core: Arc<EngineCore<A>>,
+        core: Arc<EngineCore<A, S>>,
         cost: CostModel,
         writer_window: usize,
         check_every: u64,
@@ -43,7 +48,7 @@ impl<A: Aggregate> AdaptiveEngine<A> {
     }
 
     /// The wrapped core.
-    pub fn core(&self) -> &Arc<EngineCore<A>> {
+    pub fn core(&self) -> &Arc<EngineCore<A, S>> {
         &self.core
     }
 

@@ -11,7 +11,8 @@
 //!   writes, uni-thread reads).
 //! * [`sharded`] — the shard-owned, batch-ingesting runtime: workers own
 //!   disjoint PAO shards and exchange batched cross-shard deltas over
-//!   bounded channels, drained in epochs.
+//!   bounded channels, drained in epochs; one shard runs inline on the
+//!   caller's thread.
 //! * [`adaptive`] — the §4.8 runtime decision adaptation.
 //! * [`transport`] — the [`transport::ShardTransport`] seam under the
 //!   sharded runtime: in-process worker threads (default) or

@@ -35,7 +35,13 @@
 //!   one from the planner via [`ShardedEngine::from_plan`] /
 //!   [`ShardedEngine::with_partition`]), and per-shard
 //!   [`ShardStats`] counters make the resulting cross-shard delta
-//!   reduction measurable.
+//!   reduction measurable;
+//! * one worker program serves every shard count: a one-shard in-process
+//!   engine runs its worker on the caller's thread (no thread, no
+//!   channel), which makes it the §2.2.2 uni-thread executor;
+//! * plan changes — attach, detach and topology repair — install in place
+//!   ([`install`](ShardedEngine::install)): workers, counters and shard
+//!   hosts survive them.
 //!
 //! Reads are shard-executed too: [`read_batch`](ShardedEngine::read_batch)
 //! routes read requests through the same inboxes, so the owning worker
@@ -566,7 +572,7 @@ pub enum ShardMsg<A: Aggregate> {
     /// ownership of the listed writers (their PAOs were already installed
     /// by the rebalancer via [`ShardedStore::relocate`]).
     Adopt(Vec<OverlayId>),
-    /// Topology epoch ([`ShardedEngine::apply_topo`], sent under the
+    /// Plan install ([`ShardedEngine::install`], sent under the
     /// exclusive epoch gate over a drained engine): swap the worker's core
     /// and routing-map handles for the rebuilt ones and take over the new
     /// window-expiration writer set. Travels through the same inbox +
@@ -611,7 +617,8 @@ pub struct ShardStats {
 /// The sharded core type: an [`EngineCore`] over shard-slab PAO storage.
 pub type ShardedCore<A> = EngineCore<A, ShardedStore<<A as Aggregate>::Partial>>;
 
-/// What one [`ShardedEngine::apply_topo`] call changed.
+/// What one [`ShardedEngine::install`] (or
+/// [`apply_topo`](ShardedEngine::apply_topo)) call changed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TopoEpochReport {
     /// Overlay ids appended since the previous topology (live or not).
@@ -631,8 +638,8 @@ pub struct TopoEpochReport {
 
 /// Shard-owned, batch-ingesting multi-threaded engine.
 pub struct ShardedEngine<A: Aggregate> {
-    /// The live core. Replaced wholesale by a topology epoch
-    /// ([`apply_topo`](Self::apply_topo)) under the exclusive epoch gate;
+    /// The live core. Replaced wholesale by a plan install
+    /// ([`install`](Self::install)) under the exclusive epoch gate;
     /// every entry point clones the `Arc` once per call, so in-flight work
     /// always sees one consistent core/map pair.
     core: RwLock<Arc<ShardedCore<A>>>,
@@ -643,6 +650,10 @@ pub struct ShardedEngine<A: Aggregate> {
     /// The communication backend: the in-process channel mesh or the
     /// multi-process socket star ([`ShardTransport`]).
     transport: Box<dyn ShardTransport<A>>,
+    /// One in-process shard run on the caller's thread
+    /// ([`InlineTransport`]): point reads evaluate in place instead of
+    /// round-tripping a reply channel.
+    inline: bool,
     pending: Arc<AtomicU64>,
     /// Per-shard deltas shipped to peers (indexed by sending shard).
     cross_out: Arc<Vec<AtomicU64>>,
@@ -781,18 +792,34 @@ impl<A: Aggregate> ShardedEngine<A> {
         for (wid, _) in core.overlay().writers() {
             writers_by_shard[partition.shard_of(wid.idx()).idx()].push(wid);
         }
+        // One worker program serves every in-process shard count: threads
+        // over a channel mesh for n shards, the caller's thread for one.
+        let workers = || -> Vec<ShardWorker<A>> {
+            writers_by_shard
+                .iter()
+                .enumerate()
+                .map(|(shard, writers)| ShardWorker {
+                    core: Arc::clone(&core),
+                    partition: Arc::clone(&partition),
+                    shard: ShardId(shard as u32),
+                    writers: writers.clone(),
+                    pending: Arc::clone(&pending),
+                    cross_out: Arc::clone(&cross_out),
+                    local: Arc::clone(&local),
+                    reads: Arc::clone(&reads),
+                    stack: Vec::with_capacity(32),
+                    outbox: vec![Vec::new(); shards],
+                    side: None,
+                    side_log_bound: cfg.rebalance.side_log_bound,
+                })
+                .collect()
+        };
+        let inline = cfg.transport == TransportKind::InProcess && shards == 1;
         let transport: Box<dyn ShardTransport<A>> = match cfg.transport {
-            TransportKind::InProcess => Box::new(InProcessTransport::launch(
-                Arc::clone(&core),
-                Arc::clone(&partition),
-                writers_by_shard,
-                Arc::clone(&pending),
-                Arc::clone(&cross_out),
-                Arc::clone(&local),
-                Arc::clone(&reads),
-                channel_capacity,
-                cfg.rebalance.side_log_bound,
-            )),
+            TransportKind::InProcess if inline => Box::new(InlineTransport::new(workers())),
+            TransportKind::InProcess => {
+                Box::new(InProcessTransport::launch(workers(), channel_capacity))
+            }
             #[cfg(unix)]
             TransportKind::Process => {
                 Box::new(crate::transport::process::ProcessTransport::launch(
@@ -818,6 +845,7 @@ impl<A: Aggregate> ShardedEngine<A> {
             window,
             policy: cfg.rebalance,
             transport,
+            inline,
             pending,
             cross_out,
             local,
@@ -1019,10 +1047,17 @@ impl<A: Aggregate> ShardedEngine<A> {
     /// Route a single write (convenience; prefer [`ingest`](Self::ingest)
     /// for throughput).
     pub fn submit_write(&self, v: NodeId, value: i64, ts: u64) -> Result<(), TransportError> {
+        // Route under the handle guards instead of cloning the `Arc`s: the
+        // shared gate keeps topology epochs (the only writers of either
+        // handle) out until the message is handed off.
         let _gate = self.epoch_gate.read();
-        let core = self.core();
+        let core = self.core.read();
         if let Some(wid) = core.overlay().writer(v) {
-            let shard = self.partition_ref().shard_of(wid.idx()).idx();
+            let shard = if self.inline {
+                0
+            } else {
+                self.partition.read().shard_of(wid.idx()).idx()
+            };
             self.send_counted(shard, ShardMsg::Writes(vec![(wid, value, ts)]))?;
         }
         Ok(())
@@ -1116,9 +1151,24 @@ impl<A: Aggregate> ShardedEngine<A> {
     /// subtrees through the foreign slabs' read locks. The caller thread
     /// only routes requests and collects replies; it never evaluates
     /// shard-owned PAO state.
+    ///
+    /// A one-shard in-process engine is the exception: its only worker
+    /// runs on the caller's thread anyway, so the batch evaluates right
+    /// here over one snapshot of the slab (same gate, same drain, same
+    /// [`reads_served`](Self::reads_served) accounting) instead of paying
+    /// a reply-channel round trip.
     pub fn read_batch(&self, nodes: &[NodeId]) -> Result<Vec<Option<A::Output>>, TransportError> {
         let _gate = self.epoch_gate.write();
         self.drain()?;
+        if self.inline {
+            let core = self.core.read();
+            let snap = core.store().snapshot_shard(ShardId(0));
+            let results: Vec<Option<A::Output>> =
+                nodes.iter().map(|&v| core.read_via(v, &snap)).collect();
+            let served = results.iter().filter(|r| r.is_some()).count() as u64;
+            self.reads[0].fetch_add(served, Ordering::AcqRel);
+            return Ok(results);
+        }
         let core = self.core();
         let partition = self.partition_ref();
         let overlay = core.overlay();
@@ -1373,19 +1423,23 @@ impl<A: Aggregate> ShardedEngine<A> {
         Ok(())
     }
 
-    /// Apply one **topology epoch**: swap the engine onto a repaired
-    /// overlay + extended decisions without restarting workers or
-    /// re-running the planner.
+    /// Install a changed plan in place: swap the engine onto an extended
+    /// or retired-in-place overlay plus its decisions without restarting
+    /// workers (or shard hosts) or re-running the planner. This is the one
+    /// install path behind live attach, detach and topology epochs
+    /// ([`apply_topo`](Self::apply_topo)); counters, the engine handle and
+    /// host processes survive it.
     ///
-    /// `overlay` is the incrementally repaired overlay (ids append-only:
-    /// it must extend the current one — retirements tombstone in place,
-    /// they never renumber). `decisions` covers every id (see
-    /// [`eagr_flow::topo_plan_delta`]); `backfill` carries window history
-    /// for fresh writers; `materialize` is the plan delta's stale-PAO set.
+    /// `overlay` must extend the current one (ids are append-only:
+    /// retirements tombstone in place, they never renumber). `decisions`
+    /// covers every id (see [`eagr_flow::topo_plan_delta`] and
+    /// [`eagr_flow::extend_decisions`]); `backfill` carries window history
+    /// for fresh writers; `materialize` is the set of push nodes whose PAOs
+    /// are stale (fresh, upgraded, or repair-dirtied).
     ///
-    /// Protocol: acquire the migration single-flight guard (topology
-    /// epochs and live migrations serialize — both rewrite the map), take
-    /// the epoch gate exclusively, drain, then
+    /// Protocol: acquire the migration single-flight guard (installs and
+    /// live migrations serialize — both rewrite the map), take the epoch
+    /// gate exclusively, drain, then
     ///
     /// 1. export the old core's window + PAO state;
     /// 2. extend the node→shard map: each fresh node is assigned online by
@@ -1393,12 +1447,13 @@ impl<A: Aggregate> ShardedEngine<A> {
     ///    no global re-partition;
     /// 3. build the new core over fresh slabs, reinstall carried state,
     ///    backfill fresh writers, and rematerialize the `materialize` set
-    ///    in topological order;
+    ///    in topological order (writers before the partials and readers
+    ///    they feed);
     /// 4. tombstone every retired node's slab slot
     ///    ([`ShardedStore::retire_slot`]) so compaction reclaims it;
     /// 5. publish the new core/map pair and ship a `ShardMsg::Topo` swap
     ///    through every shard inbox — drained like an epoch, so when this
-    ///    returns every worker routes against the new topology.
+    ///    returns every worker routes against the new plan.
     ///
     /// Compaction piggybacks on the fence exactly like a migration flip
     /// when the orphan count clears the policy trigger.
@@ -1406,7 +1461,7 @@ impl<A: Aggregate> ShardedEngine<A> {
     /// # Panics
     /// Panics if `overlay` has fewer ids than the current one or
     /// `decisions` does not cover it.
-    pub fn apply_topo(
+    pub fn install(
         &self,
         agg: A,
         overlay: Arc<Overlay>,
@@ -1459,7 +1514,7 @@ impl<A: Aggregate> ShardedEngine<A> {
             self.window,
             store,
         ));
-        // Seed exactly like a registry rebuild: carried state, fresh-writer
+        // Seed the new core: carried state, fresh-writer
         // backfill, then rematerialize the stale-PAO set writers-first.
         new_core.install_state(&carried);
         let mut backfilled: FastSet<OverlayId> = FastSet::default();
@@ -1593,7 +1648,6 @@ impl<A: Aggregate> ShardedEngine<A> {
         };
         drop(gate);
         drop(flight);
-        self.topo_epochs.fetch_add(1, Ordering::AcqRel);
         Ok(TopoEpochReport {
             fresh_nodes: new_n - old_n,
             retired_nodes,
@@ -1603,7 +1657,24 @@ impl<A: Aggregate> ShardedEngine<A> {
         })
     }
 
-    /// Topology epochs applied so far ([`apply_topo`](Self::apply_topo)).
+    /// Apply one **topology epoch**: [`install`](Self::install) the
+    /// incrementally repaired overlay and its plan delta, counted in
+    /// [`topo_epochs`](Self::topo_epochs).
+    pub fn apply_topo(
+        &self,
+        agg: A,
+        overlay: Arc<Overlay>,
+        decisions: &Decisions,
+        backfill: &[(OverlayId, WindowBuffer)],
+        materialize: &FastSet<OverlayId>,
+    ) -> Result<TopoEpochReport, TransportError> {
+        let report = self.install(agg, overlay, decisions, backfill, materialize)?;
+        self.topo_epochs.fetch_add(1, Ordering::AcqRel);
+        Ok(report)
+    }
+
+    /// Topology epochs applied so far ([`apply_topo`](Self::apply_topo));
+    /// attach/detach installs do not count.
     pub fn topo_epochs(&self) -> u64 {
         self.topo_epochs.load(Ordering::Acquire)
     }
@@ -2020,12 +2091,14 @@ struct ShardWorker<A: Aggregate> {
     /// migration hands entries off between workers via
     /// [`ShardMsg::EndCopy`] (disown) and [`ShardMsg::Adopt`].
     writers: Vec<OverlayId>,
-    rx: Receiver<ShardMsg<A>>,
-    txs: Vec<Sender<ShardMsg<A>>>,
     pending: Arc<AtomicU64>,
     cross_out: Arc<Vec<AtomicU64>>,
     local: Arc<Vec<AtomicU64>>,
     reads: Arc<Vec<AtomicU64>>,
+    /// Cascade work stack, reused across messages.
+    stack: Vec<(OverlayId, DeltaOp)>,
+    /// Per-destination-shard outboxes, reused across messages.
+    outbox: Vec<Vec<(OverlayId, DeltaOp)>>,
     /// Active migration side-log (between [`ShardMsg::Copy`] and
     /// [`ShardMsg::EndCopy`]); `None` outside a phase-1 copy.
     side: Option<SideLog>,
@@ -2034,27 +2107,25 @@ struct ShardWorker<A: Aggregate> {
 }
 
 impl<A: Aggregate> ShardWorker<A> {
-    fn run(mut self) {
-        let shards = self.partition.shards;
-        // Per-destination-shard outboxes, reused across messages.
-        let mut outbox: Vec<Vec<(OverlayId, DeltaOp)>> = vec![Vec::new(); shards];
-        let mut stack: Vec<(OverlayId, DeltaOp)> = Vec::with_capacity(32);
+    /// The threaded worker loop: serve `rx` until [`ShardMsg::Stop`],
+    /// relaying cross-shard deltas to the peers' inboxes in `txs`.
+    fn run(mut self, rx: Receiver<ShardMsg<A>>, txs: Vec<Sender<ShardMsg<A>>>) {
         let mut stopping = false;
         while !stopping {
-            let Ok(msg) = self.rx.recv() else { break };
+            let Ok(msg) = rx.recv() else { break };
             // `owed` counts pending-counted messages applied but whose
             // decrement is deferred until their cross-shard deltas are
             // shipped — so `pending` can never hit zero while deltas sit
             // in an outbox.
             let mut owed = 0u64;
-            stopping = self.handle(msg, &mut owed, &mut stack, &mut outbox);
+            stopping = self.handle(msg, &mut owed);
             // Ship every outbox batch without ever blocking on a full
             // peer inbox: two workers blocked sending to each other's
             // full queues would deadlock, so on backpressure this worker
             // services its *own* inbox instead and retries.
             loop {
                 let mut shipped_all = true;
-                for (dest, buf) in outbox.iter_mut().enumerate() {
+                for (dest, buf) in self.outbox.iter_mut().enumerate() {
                     if buf.is_empty() {
                         continue;
                     }
@@ -2063,7 +2134,7 @@ impl<A: Aggregate> ShardWorker<A> {
                     // Count the message before it becomes visible to the
                     // receiver (its decrement must never race ahead).
                     self.pending.fetch_add(1, Ordering::AcqRel);
-                    match self.txs[dest].try_send(ShardMsg::Deltas(batch)) {
+                    match txs[dest].try_send(ShardMsg::Deltas(batch)) {
                         Ok(()) => {
                             self.cross_out[self.shard.idx()].fetch_add(n, Ordering::AcqRel);
                         }
@@ -2086,9 +2157,9 @@ impl<A: Aggregate> ShardWorker<A> {
                 if shipped_all {
                     break;
                 }
-                match self.rx.try_recv() {
+                match rx.try_recv() {
                     Ok(m) => {
-                        if self.handle(m, &mut owed, &mut stack, &mut outbox) {
+                        if self.handle(m, &mut owed) {
                             stopping = true;
                         }
                     }
@@ -2102,13 +2173,7 @@ impl<A: Aggregate> ShardWorker<A> {
     }
 
     /// Apply one inbox message; returns `true` for [`ShardMsg::Stop`].
-    fn handle(
-        &mut self,
-        msg: ShardMsg<A>,
-        owed: &mut u64,
-        stack: &mut Vec<(OverlayId, DeltaOp)>,
-        outbox: &mut [Vec<(OverlayId, DeltaOp)>],
-    ) -> bool {
+    fn handle(&mut self, msg: ShardMsg<A>, owed: &mut u64) -> bool {
         match msg {
             ShardMsg::Writes(group) => {
                 *owed += 1;
@@ -2116,8 +2181,8 @@ impl<A: Aggregate> ShardWorker<A> {
                 let mut slab = core.store().lock_shard(self.shard);
                 for (wid, value, ts) in group {
                     for op in core.window_ops(wid, value, ts) {
-                        stack.push((wid, op));
-                        self.cascade(&mut slab, stack, outbox);
+                        self.stack.push((wid, op));
+                        self.cascade(&core, &mut slab);
                     }
                 }
                 false
@@ -2127,8 +2192,8 @@ impl<A: Aggregate> ShardWorker<A> {
                 let core = Arc::clone(&self.core);
                 let mut slab = core.store().lock_shard(self.shard);
                 for (n, op) in group {
-                    stack.push((n, op));
-                    self.cascade(&mut slab, stack, outbox);
+                    self.stack.push((n, op));
+                    self.cascade(&core, &mut slab);
                 }
                 false
             }
@@ -2170,8 +2235,8 @@ impl<A: Aggregate> ShardWorker<A> {
                 let writers = self.writers.clone();
                 for wid in writers {
                     for op in core.expire_ops(wid, ts) {
-                        stack.push((wid, op));
-                        self.cascade(&mut slab, stack, outbox);
+                        self.stack.push((wid, op));
+                        self.cascade(&core, &mut slab);
                     }
                 }
                 false
@@ -2255,14 +2320,12 @@ impl<A: Aggregate> ShardWorker<A> {
     /// copies.
     fn cascade(
         &mut self,
+        core: &ShardedCore<A>,
         slab: &mut crate::store::ShardGuard<'_, A::Partial>,
-        stack: &mut Vec<(OverlayId, DeltaOp)>,
-        outbox: &mut [Vec<(OverlayId, DeltaOp)>],
     ) {
-        let core = Arc::clone(&self.core);
         let agg = core.aggregate();
         let overlay = core.overlay();
-        while let Some((n, op)) = stack.pop() {
+        while let Some((n, op)) = self.stack.pop() {
             op.apply(agg, slab.get_mut(n.idx()));
             core.record_push(n);
             self.local[self.shard.idx()].fetch_add(1, Ordering::Relaxed);
@@ -2284,9 +2347,9 @@ impl<A: Aggregate> ShardWorker<A> {
                     let routed = op.signed(sign);
                     let dest = self.partition.shard_of(t.idx());
                     if dest == self.shard {
-                        stack.push((t, routed));
+                        self.stack.push((t, routed));
                     } else {
-                        outbox[dest.idx()].push((t, routed));
+                        self.outbox[dest.idx()].push((t, routed));
                     }
                 }
             }
@@ -2334,49 +2397,26 @@ struct InProcessTransport<A: Aggregate> {
 }
 
 impl<A: Aggregate> InProcessTransport<A> {
-    /// Spawn one [`ShardWorker`] per shard over a fresh channel mesh.
+    /// Spawn one thread per [`ShardWorker`] over a fresh channel mesh.
     /// Workers hold each other's senders (cross-shard delta forwarding),
     /// so they never disconnect by dropping alone — `stop` sends explicit
     /// [`ShardMsg::Stop`]s.
-    #[allow(clippy::too_many_arguments)]
-    fn launch(
-        core: Arc<ShardedCore<A>>,
-        partition: Arc<LivePartition>,
-        mut writers_by_shard: Vec<Vec<OverlayId>>,
-        pending: Arc<AtomicU64>,
-        cross_out: Arc<Vec<AtomicU64>>,
-        local: Arc<Vec<AtomicU64>>,
-        reads: Arc<Vec<AtomicU64>>,
-        channel_capacity: usize,
-        side_log_bound: usize,
-    ) -> Self {
-        let shards = writers_by_shard.len();
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..shards)
+    fn launch(workers: Vec<ShardWorker<A>>, channel_capacity: usize) -> Self {
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..workers.len())
             .map(|_| bounded::<ShardMsg<A>>(channel_capacity))
             .unzip();
-        let mut handles = Vec::with_capacity(shards);
-        for (shard, rx) in rxs.into_iter().enumerate() {
-            let worker = ShardWorker {
-                core: Arc::clone(&core),
-                partition: Arc::clone(&partition),
-                shard: ShardId(shard as u32),
-                writers: std::mem::take(&mut writers_by_shard[shard]),
-                rx,
-                txs: txs.clone(),
-                pending: Arc::clone(&pending),
-                cross_out: Arc::clone(&cross_out),
-                local: Arc::clone(&local),
-                reads: Arc::clone(&reads),
-                side: None,
-                side_log_bound,
-            };
-            handles.push(
+        let handles = workers
+            .into_iter()
+            .zip(rxs)
+            .enumerate()
+            .map(|(shard, (worker, rx))| {
+                let peers = txs.clone();
                 std::thread::Builder::new()
                     .name(format!("eagr-shard-{shard}"))
-                    .spawn(move || worker.run())
-                    .expect("spawn shard worker thread"),
-            );
-        }
+                    .spawn(move || worker.run(rx, peers))
+                    .expect("spawn shard worker thread")
+            })
+            .collect();
         Self {
             txs,
             handles: Mutex::named(handles, "inproc_handles"),
@@ -2420,6 +2460,52 @@ impl<A: Aggregate> ShardTransport<A> for InProcessTransport<A> {
             let _ = h.join();
         }
     }
+}
+
+/// The one-shard in-process [`ShardTransport`]: no thread and no channel.
+/// `send` runs the shard's [`ShardWorker`] handler on the caller's thread
+/// under one lock and settles `pending` before returning, so a one-shard
+/// engine is the §2.2.2 uni-thread executor running the same worker
+/// program as the threaded mesh. A single shard owns every node, so the
+/// cascade never fills an outbox and nothing is ever relayed.
+struct InlineTransport<A: Aggregate> {
+    inline: Mutex<ShardWorker<A>>,
+}
+
+impl<A: Aggregate> InlineTransport<A> {
+    fn new(mut workers: Vec<ShardWorker<A>>) -> Self {
+        assert_eq!(workers.len(), 1, "the inline transport runs one shard");
+        Self {
+            inline: Mutex::named(workers.remove(0), "inline"),
+        }
+    }
+}
+
+impl<A: Aggregate> ShardTransport<A> for InlineTransport<A> {
+    fn kind(&self) -> TransportKind {
+        TransportKind::InProcess
+    }
+
+    fn shards(&self) -> usize {
+        1
+    }
+
+    fn send(&self, _shard: usize, msg: ShardMsg<A>) -> Result<(), TransportError> {
+        let mut worker = self.inline.lock();
+        let mut owed = 0u64;
+        worker.handle(msg, &mut owed);
+        debug_assert!(worker.outbox[0].is_empty(), "one shard relays nothing");
+        worker.pending.fetch_sub(owed, Ordering::AcqRel);
+        Ok(())
+    }
+
+    fn healthy(&self) -> Result<(), TransportError> {
+        Ok(())
+    }
+
+    fn stop(&self) {}
+
+    fn shutdown(&self) {}
 }
 
 #[cfg(test)]

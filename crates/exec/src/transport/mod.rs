@@ -7,7 +7,9 @@
 //! * **In-process** (the default, [`TransportKind::InProcess`]): the
 //!   original crossbeam bounded-channel mesh. One worker thread per shard
 //!   in this address space; zero serialization, bounded-channel
-//!   backpressure, byte-for-byte the pre-trait behavior.
+//!   backpressure. A one-shard in-process engine runs its single worker
+//!   on the caller's thread instead (no thread, no channel: `send` handles
+//!   the message before it returns) — the §2.2.2 uni-thread executor.
 //! * **Multi-process** ([`TransportKind::Process`], Unix only): each shard
 //!   runs in its own `eagr-shard-host` OS process, connected to the
 //!   coordinator by a Unix-domain socket speaking the length-prefixed

@@ -159,9 +159,16 @@ impl Plan {
     /// when the push topology disagrees with the id layout, and hash is the
     /// structure-blind floor. Index-based candidates are scored first, so
     /// on ties the cheaper-to-derive strategy is kept.
+    ///
+    /// One shard has nothing to score: the map is all shard 0, built
+    /// without the push view.
     pub fn with_auto_partition(mut self, shards: usize) -> Self {
-        let view = self.push_view();
         let n = self.overlay.node_count();
+        if shards <= 1 {
+            self.partition = Some(Partitioner::hash(1).partition(n));
+            return self;
+        }
+        let view = self.push_view();
         let candidates = [
             Partitioner::new(
                 shards,
@@ -438,6 +445,21 @@ mod tests {
                 "auto ({auto_cost}) must not lose to {strategy:?}"
             );
         }
+    }
+
+    #[test]
+    fn auto_partition_of_one_shard_is_all_zero() {
+        let p = plan(
+            paper_overlay(),
+            &Rates::uniform(7, 1.0),
+            &CostModel::unit_sum(),
+            &PlannerConfig::default(),
+        )
+        .with_auto_partition(1);
+        let part = p.partition.as_ref().expect("partition attached");
+        assert_eq!(part.shards, 1);
+        assert_eq!(part.len(), p.overlay.node_count());
+        assert!(part.of.iter().all(|s| s.idx() == 0));
     }
 
     #[test]

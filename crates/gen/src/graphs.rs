@@ -169,13 +169,6 @@ pub fn parse_edge_list(text: &str) -> DataGraph {
     g
 }
 
-/// Load a SNAP-style edge list from a file (see [`parse_edge_list`]) so
-/// churn benches can run on a real social topology instead of the
-/// synthetic generators: `fig_churn --graph path/to/edges.txt`.
-pub fn load_edge_list<P: AsRef<std::path::Path>>(path: P) -> std::io::Result<DataGraph> {
-    Ok(parse_edge_list(&std::fs::read_to_string(path)?))
-}
-
 /// A named synthetic stand-in for one of the paper's datasets, scaled to
 /// laptop size. `scale` multiplies the node count (1.0 ⇒ the default size
 /// used by the benches).

@@ -19,7 +19,7 @@ pub mod wire;
 pub mod workload;
 
 pub use batch::{batch_events, EventBatch};
-pub use graphs::{erdos_renyi, load_edge_list, parse_edge_list, social_graph, web_graph, Dataset};
+pub use graphs::{erdos_renyi, parse_edge_list, social_graph, web_graph, Dataset};
 pub use trace::{shifting_trace, TraceConfig};
 pub use workload::{
     churn_stream, generate_events, rotating_hot_set, zipf_rates, ChurnConfig, Event, WorkloadConfig,

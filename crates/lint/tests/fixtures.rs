@@ -81,6 +81,20 @@ fn r1_holds_seeds_the_held_set() {
     expect_clean("// lint: holds(slab)\nfn f(&self) {\n    let g = self.slabs[0].read();\n}\n");
 }
 
+#[test]
+fn r1_inline_worker_ranks_between_map_and_slab() {
+    // The inline transport runs the worker (which locks its slab) under
+    // the `inline` lock, entered with the engine's handle locks held.
+    expect_clean(
+        "fn f(&self) {\n    let c = self.core.read();\n    let w = self.inline.lock();\n    let s = self.slabs[0].write();\n}\n",
+    );
+    expect_one(
+        "fn f(&self) {\n    let s = self.slabs[0].write();\n    let w = self.inline.lock();\n}\n",
+        "lock-order",
+        3,
+    );
+}
+
 // ---------------------------------------------------------------- R2
 
 const R2_BAD: &str = "\

@@ -10,6 +10,19 @@ use eagr::prelude::*;
 use eagr::OverlayAlgorithm;
 use std::sync::Arc;
 
+/// A standalone engine core over a system's compiled plan: the two-pool
+/// engine is the paper's §2.2.2 baseline, driven directly rather than
+/// through the facade.
+fn plan_core<A: Aggregate>(sys: &EagrSystem<A>, agg: A) -> Arc<EngineCore<A>> {
+    let p = sys.plan();
+    Arc::new(EngineCore::new(
+        agg,
+        Arc::new(p.overlay.clone()),
+        &p.decisions,
+        WindowSpec::Tuple(1),
+    ))
+}
+
 fn build_core(n: usize, seed: u64, all_push: bool) -> (DataGraph, Arc<EngineCore<Sum>>) {
     let g = social_graph(n, 4, seed);
     let sys = EagrSystem::builder(EgoQuery::new(Sum))
@@ -20,20 +33,14 @@ fn build_core(n: usize, seed: u64, all_push: bool) -> (DataGraph, Arc<EngineCore
             DecisionAlgorithm::MaxFlow
         })
         .build(&g);
-    (g, sys.core())
+    (g, plan_core(&sys, Sum))
 }
 
 #[test]
 fn parallel_converges_to_sequential_all_push() {
     let n = 150;
     let (g, core) = build_core(n, 1, true);
-    let (_, seq_core) = {
-        let sys = EagrSystem::builder(EgoQuery::new(Sum))
-            .overlay(OverlayAlgorithm::Vnma)
-            .decisions(DecisionAlgorithm::AllPush)
-            .build(&g);
-        (0, sys.core())
-    };
+    let (_, seq_core) = build_core(n, 1, true);
     let events = generate_events(
         n,
         &WorkloadConfig {
@@ -158,10 +165,13 @@ fn topk_parallel_consistency() {
         .overlay(OverlayAlgorithm::Vnmn)
         .decisions(DecisionAlgorithm::AllPush)
         .build(&g);
-    let eng = sys.parallel(ParallelConfig {
-        write_threads: 4,
-        read_threads: 1,
-    });
+    let eng = ParallelEngine::new(
+        plan_core(&sys, TopK::new(3)),
+        ParallelConfig {
+            write_threads: 4,
+            read_threads: 1,
+        },
+    );
     let events = generate_events(
         n,
         &WorkloadConfig {

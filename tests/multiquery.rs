@@ -3,8 +3,8 @@
 //!
 //! * **differential**: N overlapping queries attached and detached at
 //!   arbitrary points of an arbitrary write stream each answer exactly
-//!   like a single-query single-threaded system that replayed the same
-//!   prefix — in single-threaded *and* sharded execution;
+//!   like the naive oracle over the same prefix — in single-threaded
+//!   *and* sharded execution;
 //! * **refcounting**: detaching one query never perturbs the answers of
 //!   the queries that remain;
 //! * **sharing**: attaching an overlapping query onto a warm system
@@ -36,13 +36,18 @@ fn spec_strategy() -> impl Strategy<Value = QuerySpec> {
     (1u32..4, 0u32..3, 1usize..4).prop_map(|(m, r, c)| QuerySpec { m, r: r % m, c })
 }
 
-/// A fresh single-threaded single-query system over the same event prefix
-/// — the differential oracle for one registered query.
+/// The naive oracle's answers for one registered query over an event
+/// prefix: `None` outside the query's reader set (nodes its predicate
+/// rejects or whose neighborhood is empty), the from-scratch fold inside.
 fn reference(spec: QuerySpec, g: &DataGraph, prefix: &[Event]) -> Vec<Option<i64>> {
-    let sys = EagrSystem::builder(spec.query()).build(g);
-    sys.ingest(prefix);
-    let nodes: Vec<NodeId> = g.nodes().collect();
-    sys.read_batch(&nodes)
+    let mut oracle = NaiveOracle::new(Sum, WindowSpec::Tuple(spec.c), Neighborhood::In);
+    oracle.ingest(&mut g.clone(), prefix, 0);
+    g.nodes()
+        .map(|v| {
+            let reads = v.0 % spec.m == spec.r && !g.in_neighbors(v).is_empty();
+            reads.then(|| oracle.read(g, v))
+        })
+        .collect()
 }
 
 fn check_differential(mode: ExecutionMode, specs: &[QuerySpec], writes: &[(u32, i64)]) {

@@ -429,7 +429,7 @@ fn read_batch_stays_epoch_consistent_across_live_migrations() {
 fn facade_rebalance_policy_round_trip() {
     // The facade surface: a RebalancePolicy set on the builder reaches the
     // engine, EagrSystem::rebalance() works manually, and answers keep
-    // matching the single-threaded facade across rebalances.
+    // matching the naive oracle across rebalances.
     let g = social_graph(120, 4, 63);
     let events = generate_events(
         120,
@@ -449,14 +449,21 @@ fn facade_rebalance_policy_round_trip() {
             ..RebalancePolicy::default()
         })
         .build(&g);
-    assert!(single.rebalance().is_none(), "local modes have no map");
+    assert!(
+        single.rebalance().is_none(),
+        "one shard has no map to refine"
+    );
     single.ingest(&events);
     sharded.ingest(&events);
     let outcome = sharded.rebalance().expect("sharded mode rebalances");
     let eng = sharded.sharded_engine().expect("sharded runtime");
     assert_eq!(outcome.committed, eng.rebalances() == 1);
+    let mut oracle = NaiveOracle::new(Sum, WindowSpec::Tuple(1), Neighborhood::In);
+    oracle.ingest(&mut g.clone(), &events, 0);
     let nodes: Vec<NodeId> = g.nodes().collect();
-    assert_eq!(single.read_batch(&nodes), sharded.read_batch(&nodes));
+    for sys in [&single, &sharded] {
+        assert_eq!(oracle.mismatch(&g, &nodes, &sys.read_batch(&nodes)), None);
+    }
 }
 
 // ---------- inbox-routed window expiration ----------
@@ -608,8 +615,7 @@ fn read_batch_is_epoch_consistent_under_concurrent_ingest() {
 fn facade_read_batch_routes_to_shard_workers() {
     // EagrSystem in sharded mode must shard-execute both read_batch and
     // point reads (the read counters prove the workers did the work), and
-    // the answers must match the single-threaded facade on the same
-    // stream.
+    // the answers must match the naive oracle on the same stream.
     let g = social_graph(90, 4, 53);
     let events = generate_events(
         90,
@@ -631,8 +637,12 @@ fn facade_read_batch_routes_to_shard_workers() {
         after_ingest > 0,
         "read events inside mixed batches must be shard-executed"
     );
+    let mut oracle = NaiveOracle::new(Sum, WindowSpec::Tuple(1), Neighborhood::In);
+    oracle.ingest(&mut g.clone(), &events, 0);
     let nodes: Vec<NodeId> = g.nodes().collect();
-    assert_eq!(single.read_batch(&nodes), sharded.read_batch(&nodes));
+    for sys in [&single, &sharded] {
+        assert_eq!(oracle.mismatch(&g, &nodes, &sys.read_batch(&nodes)), None);
+    }
     assert!(
         eng.reads_served() > after_ingest,
         "read_batch must be served by the workers"
@@ -960,7 +970,7 @@ fn facade_surfaces_migration_and_compaction_counters() {
     let after = sys.registry_stats();
     assert_eq!(after.orphaned_pao_slots, 0);
     assert_eq!(after.slots_reclaimed, reclaimed);
-    // Local modes have neither a map nor slabs.
+    // One shard has neither a map to refine nor orphans to reclaim.
     let local = EagrSystem::builder(EgoQuery::new(Sum)).build(&g);
     assert!(local.rebalance().is_none());
     assert!(local.compact().is_none());

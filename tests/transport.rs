@@ -417,6 +417,61 @@ fn shard_hosts_are_separate_os_processes() {
 }
 
 #[test]
+fn attach_and_detach_install_into_the_running_engine() {
+    // Attach and detach change the stratum's plan in place: the engine
+    // handle, its counters and its shard hosts survive both.
+    require_host_binary();
+    let g = social_graph(90, 3, 0xA77);
+    let events = generate_events(
+        90,
+        &WorkloadConfig {
+            events: 900,
+            write_to_read: 1e9,
+            seed: 0xA78,
+            ..Default::default()
+        },
+    );
+    let mut oracle = NaiveOracle::new(Sum, WindowSpec::Tuple(1), Neighborhood::In);
+    oracle.ingest(&mut g.clone(), &events, 0);
+    oracle.ingest(&mut g.clone(), &events, events.len() as u64);
+    let nodes: Vec<NodeId> = g.nodes().collect();
+    let primary: Vec<NodeId> = (0..30u32).map(NodeId).collect();
+    for transport in [TransportKind::InProcess, TransportKind::Process] {
+        let sys = EagrSystem::builder(EgoQuery::new(Sum).filter(|v| v.0 < 30))
+            .execution(ExecutionMode::Sharded { shards: 2 })
+            .transport(transport)
+            .build(&g);
+        let eng = sys.sharded_engine().expect("engine");
+        let pids = eng.host_pids();
+        sys.ingest(&events);
+        let epochs = eng.epochs();
+        // Every node: fresh readers and writers the install must add.
+        let h = sys.attach(EgoQuery::new(Sum));
+        assert!(h.attach_report().expect("attached").fresh_paos > 0);
+        assert!(Arc::ptr_eq(&eng, &sys.sharded_engine().expect("engine")));
+        assert_eq!(
+            eng.host_pids(),
+            pids,
+            "{transport:?}: attach respawned hosts"
+        );
+        sys.ingest(&events);
+        assert!(eng.epochs() > epochs, "{transport:?}: counters reset");
+        let got = h.read_batch(&nodes);
+        assert_eq!(oracle.mismatch(&g, &nodes, &got), None, "{transport:?}");
+        assert!(sys.detach(h).retired_paos > 0);
+        assert!(Arc::ptr_eq(&eng, &sys.sharded_engine().expect("engine")));
+        assert_eq!(
+            eng.host_pids(),
+            pids,
+            "{transport:?}: detach respawned hosts"
+        );
+        assert_eq!(eng.topo_epochs(), 0, "attach/detach are not topology runs");
+        let got = sys.read_batch(&primary);
+        assert_eq!(oracle.mismatch(&g, &primary, &got), None, "{transport:?}");
+    }
+}
+
+#[test]
 fn killed_host_surfaces_as_transport_error_not_hang() {
     require_host_binary();
     let (_, ov, d) = all_push_parts(60, 0xDEAD);
